@@ -2,15 +2,13 @@
 //! groups, the parallel server and the launcher.
 //!
 //! Encoded with the fixed little-endian layout of
-//! [`melissa_transport::codec`]; one tag byte selects the variant.  Every
+//! [`melissa_transport::codec`]; one tag byte selects the variant (the
+//! [`wire_enum!`](melissa_transport::wire_enum) list below).  Every
 //! message carries enough identity (`group_id`, `instance`, `timestep`) for
 //! the server's discard-on-replay policy (paper Section 4.2.1).
 
-use bytes::{BufMut, Bytes, BytesMut};
-use melissa_transport::codec::{
-    get_f64_vec, get_str, get_u16, get_u32, get_u64, get_u64_vec, get_u8, put_f64_slice, put_str,
-    put_u64_slice, WireError, WireResult,
-};
+use bytes::{Bytes, BytesMut};
+use melissa_transport::codec::{Wire, WireResult};
 
 /// One Melissa protocol message.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,101 +120,29 @@ pub enum Message {
     },
 }
 
-/// Tag bytes (wire stability).
-mod tag {
-    pub const CONNECT_REQUEST: u8 = 1;
-    pub const CONNECT_REPLY: u8 = 2;
-    pub const DATA: u8 = 3;
-    pub const HEARTBEAT: u8 = 4;
-    pub const SERVER_READY: u8 = 5;
-    pub const SERVER_REPORT: u8 = 6;
-    pub const GROUP_TIMEOUT: u8 = 7;
-    pub const CHECKPOINT: u8 = 8;
-    pub const STOP: u8 = 9;
-    pub const MIGRATE_OUT: u8 = 10;
-    pub const ADOPT_FLOOR: u8 = 11;
-}
+melissa_transport::wire_enum!(Message {
+    1 => ConnectRequest { group_id, instance },
+    2 => ConnectReply { n_workers, n_cells, p, n_timesteps },
+    3 => Data { group_id, instance, role, timestep, start, values },
+    4 => Heartbeat { sender },
+    5 => ServerReady,
+    6 => ServerReport {
+        finished_groups, running_groups, max_ci_width, max_quantile_step, quantile_steps,
+        blocked_sends, blocked_nanos,
+    },
+    7 => GroupTimeout { group_id },
+    8 => Checkpoint { dir },
+    9 => Stop,
+    10 => MigrateOut { group_id },
+    11 => AdoptFloor { group_id, floor },
+});
 
 impl Message {
-    /// Encodes the message to a frame.
+    /// Encodes the message to a frame, in a buffer pre-sized to the
+    /// payload.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.encoded_size_hint());
-        match self {
-            Message::ConnectRequest { group_id, instance } => {
-                buf.put_u8(tag::CONNECT_REQUEST);
-                buf.put_u64_le(*group_id);
-                buf.put_u32_le(*instance);
-            }
-            Message::ConnectReply {
-                n_workers,
-                n_cells,
-                p,
-                n_timesteps,
-            } => {
-                buf.put_u8(tag::CONNECT_REPLY);
-                buf.put_u32_le(*n_workers);
-                buf.put_u64_le(*n_cells);
-                buf.put_u32_le(*p);
-                buf.put_u32_le(*n_timesteps);
-            }
-            Message::Data {
-                group_id,
-                instance,
-                role,
-                timestep,
-                start,
-                values,
-            } => {
-                buf.put_u8(tag::DATA);
-                buf.put_u64_le(*group_id);
-                buf.put_u32_le(*instance);
-                buf.put_u16_le(*role);
-                buf.put_u32_le(*timestep);
-                buf.put_u64_le(*start);
-                put_f64_slice(&mut buf, values);
-            }
-            Message::Heartbeat { sender } => {
-                buf.put_u8(tag::HEARTBEAT);
-                buf.put_u32_le(*sender);
-            }
-            Message::ServerReady => buf.put_u8(tag::SERVER_READY),
-            Message::ServerReport {
-                finished_groups,
-                running_groups,
-                max_ci_width,
-                max_quantile_step,
-                quantile_steps,
-                blocked_sends,
-                blocked_nanos,
-            } => {
-                buf.put_u8(tag::SERVER_REPORT);
-                put_u64_slice(&mut buf, finished_groups);
-                put_u64_slice(&mut buf, running_groups);
-                buf.put_f64_le(*max_ci_width);
-                buf.put_f64_le(*max_quantile_step);
-                put_f64_slice(&mut buf, quantile_steps);
-                buf.put_u64_le(*blocked_sends);
-                buf.put_u64_le(*blocked_nanos);
-            }
-            Message::GroupTimeout { group_id } => {
-                buf.put_u8(tag::GROUP_TIMEOUT);
-                buf.put_u64_le(*group_id);
-            }
-            Message::Checkpoint { dir } => {
-                buf.put_u8(tag::CHECKPOINT);
-                put_str(&mut buf, dir);
-            }
-            Message::Stop => buf.put_u8(tag::STOP),
-            Message::MigrateOut { group_id } => {
-                buf.put_u8(tag::MIGRATE_OUT);
-                buf.put_u64_le(*group_id);
-            }
-            Message::AdoptFloor { group_id, floor } => {
-                buf.put_u8(tag::ADOPT_FLOOR);
-                buf.put_u64_le(*group_id);
-                buf.put_i64_le(*floor);
-            }
-        }
+        self.encode_into(&mut buf);
         buf.freeze()
     }
 
@@ -236,71 +162,14 @@ impl Message {
     /// Decodes a frame.
     ///
     /// `Data.values` is decoded through the copy-lean bulk path of
-    /// [`get_f64_vec`]: one contiguous sweep over the payload rather than
-    /// a cursor round-trip per value.  The values cannot *borrow* the
-    /// frame outright — they are owned `Vec<f64>` state handed to the
-    /// assembly buffers, and the payload's byte offset inside the frame
-    /// makes 8-byte alignment a coin flip — so one bulk copy is the
-    /// minimum (see `melissa_transport::codec::get_f64_vec`).
+    /// `f64`'s [`Wire::decode_seq`]: one contiguous sweep over the
+    /// payload rather than a cursor round-trip per value.  The values
+    /// cannot *borrow* the frame outright — they are owned `Vec<f64>`
+    /// state handed to the assembly buffers, and the payload's byte
+    /// offset inside the frame makes 8-byte alignment a coin flip — so
+    /// one bulk copy is the minimum.
     pub fn decode(frame: &Bytes) -> WireResult<Message> {
-        let mut buf = frame.clone();
-        let t = get_u8(&mut buf, "tag")?;
-        let msg = match t {
-            tag::CONNECT_REQUEST => Message::ConnectRequest {
-                group_id: get_u64(&mut buf, "group_id")?,
-                instance: get_u32(&mut buf, "instance")?,
-            },
-            tag::CONNECT_REPLY => Message::ConnectReply {
-                n_workers: get_u32(&mut buf, "n_workers")?,
-                n_cells: get_u64(&mut buf, "n_cells")?,
-                p: get_u32(&mut buf, "p")?,
-                n_timesteps: get_u32(&mut buf, "n_timesteps")?,
-            },
-            tag::DATA => Message::Data {
-                group_id: get_u64(&mut buf, "group_id")?,
-                instance: get_u32(&mut buf, "instance")?,
-                role: get_u16(&mut buf, "role")?,
-                timestep: get_u32(&mut buf, "timestep")?,
-                start: get_u64(&mut buf, "start")?,
-                values: get_f64_vec(&mut buf, "values")?,
-            },
-            tag::HEARTBEAT => Message::Heartbeat {
-                sender: get_u32(&mut buf, "sender")?,
-            },
-            tag::SERVER_READY => Message::ServerReady,
-            tag::SERVER_REPORT => Message::ServerReport {
-                finished_groups: get_u64_vec(&mut buf, "finished_groups")?,
-                running_groups: get_u64_vec(&mut buf, "running_groups")?,
-                max_ci_width: melissa_transport::codec::get_f64(&mut buf, "max_ci_width")?,
-                max_quantile_step: melissa_transport::codec::get_f64(
-                    &mut buf,
-                    "max_quantile_step",
-                )?,
-                quantile_steps: get_f64_vec(&mut buf, "quantile_steps")?,
-                blocked_sends: get_u64(&mut buf, "blocked_sends")?,
-                blocked_nanos: get_u64(&mut buf, "blocked_nanos")?,
-            },
-            tag::GROUP_TIMEOUT => Message::GroupTimeout {
-                group_id: get_u64(&mut buf, "group_id")?,
-            },
-            tag::CHECKPOINT => Message::Checkpoint {
-                dir: get_str(&mut buf, "dir")?,
-            },
-            tag::STOP => Message::Stop,
-            tag::MIGRATE_OUT => Message::MigrateOut {
-                group_id: get_u64(&mut buf, "group_id")?,
-            },
-            tag::ADOPT_FLOOR => Message::AdoptFloor {
-                group_id: get_u64(&mut buf, "group_id")?,
-                floor: get_u64(&mut buf, "floor")? as i64,
-            },
-            _ => {
-                return Err(WireError::Invalid {
-                    what: "unknown message tag",
-                })
-            }
-        };
-        Ok(msg)
+        Message::decode_from(&mut frame.clone())
     }
 }
 

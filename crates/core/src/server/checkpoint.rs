@@ -11,7 +11,10 @@
 //! magic, version, worker_id, slab, p, n_timesteps, per-timestep packed
 //! Sobol' state, per-timestep packed moments and min/max, the threshold
 //! accumulators, the Robbins–Monro quantile records (format v3+), the
-//! last-completed map and the finished list.  Field-level tables of the
+//! last-completed map, the finished list and the integrated intervals
+//! (format v4+).  The file keeps its own section layout — one length
+//! covers the four moment arrays — but every field is read and written
+//! through the checked [`Wire`] primitives.  Field-level tables of the
 //! layout (and the determinism rules it obeys) are documented in
 //! `melissa_stats::checkpoint_format`.
 //!
@@ -40,10 +43,12 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::BufMut;
 use melissa_mesh::CellRange;
 use melissa_sobol::UbiquitousSobol;
 use melissa_stats::{FieldMinMax, FieldMoments, FieldQuantiles, FieldThreshold};
+
+use melissa_transport::codec::{encode_slice, ensure_room, Wire, WireError};
 
 use super::state::WorkerState;
 
@@ -108,12 +113,12 @@ pub fn checkpoint_file(dir: &Path, worker_id: usize) -> std::path::PathBuf {
 pub fn pack_state(state: &WorkerState) -> Vec<u8> {
     let (sobol, moments, minmax, thresholds, quantiles, last_completed, finished, integrated) =
         state.checkpoint_parts();
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     buf.put_u32_le(MAGIC);
     buf.put_u32_le(VERSION);
-    buf.put_u64_le(state.worker_id() as u64);
-    buf.put_u64_le(state.slab().start as u64);
-    buf.put_u64_le(state.slab().len as u64);
+    state.worker_id().encode_into(&mut buf);
+    state.slab().start.encode_into(&mut buf);
+    state.slab().len.encode_into(&mut buf);
     buf.put_u32_le(state.dim() as u32);
     buf.put_u32_le(state.n_timesteps() as u32);
     // One pack buffer reused across all timesteps (the tiled state packs
@@ -122,92 +127,69 @@ pub fn pack_state(state: &WorkerState) -> Vec<u8> {
     for s in sobol {
         s.pack_into(&mut flat);
         buf.put_u64_le(s.n_groups());
-        buf.put_u64_le(flat.len() as u64);
-        for v in &flat {
-            buf.put_f64_le(*v);
-        }
+        encode_slice(&flat, &mut buf);
     }
+    // One length covers the four moment (two min/max) arrays.
     for m in moments {
         let (n, mean, m2, m3, m4) = m.raw_state();
         buf.put_u64_le(n);
-        buf.put_u64_le(mean.len() as u64);
+        mean.len().encode_into(&mut buf);
         for arr in [mean, m2, m3, m4] {
-            for v in arr {
-                buf.put_f64_le(*v);
-            }
+            f64::encode_seq(arr, &mut buf);
         }
     }
     for mm in minmax {
         let (n, mn, mx) = mm.raw_state();
         buf.put_u64_le(n);
-        buf.put_u64_le(mn.len() as u64);
+        mn.len().encode_into(&mut buf);
         for arr in [mn, mx] {
-            for v in arr {
-                buf.put_f64_le(*v);
-            }
+            f64::encode_seq(arr, &mut buf);
         }
     }
     let n_thresholds = thresholds.first().map_or(0, |v| v.len());
-    buf.put_u64_le(n_thresholds as u64);
+    n_thresholds.encode_into(&mut buf);
     for ti in 0..n_thresholds {
         for per_ts in thresholds {
             let (threshold, n, exceeded) = per_ts[ti].raw_state();
             buf.put_f64_le(threshold);
             buf.put_u64_le(n);
-            buf.put_u64_le(exceeded.len() as u64);
-            for v in exceeded {
-                buf.put_u64_le(*v);
-            }
+            encode_slice(exceeded, &mut buf);
         }
     }
     // Quantile section (format v3+).  Probabilities and the step exponent
     // are shared across timesteps; the per-timestep record arrays are the
     // tiled storage verbatim.
     let n_probs = quantiles.first().map_or(0, |q| q.probs().len());
-    buf.put_u64_le(n_probs as u64);
+    n_probs.encode_into(&mut buf);
     if let Some(first) = quantiles.first() {
         buf.put_f64_le(first.gamma());
-        for p in first.probs() {
-            buf.put_f64_le(*p);
-        }
+        f64::encode_seq(first.probs(), &mut buf);
         for q in quantiles {
             let (n, _, _, records) = q.raw_state();
             buf.put_u64_le(n);
-            buf.put_u64_le(records.len() as u64);
-            for v in records {
-                buf.put_f64_le(*v);
-            }
+            encode_slice(records, &mut buf);
         }
     }
     // Sorted by group id so checkpoint bytes are a deterministic function
     // of the state (HashMap iteration order is salted per instance).
     let mut completed: Vec<(u64, i64)> = last_completed.iter().map(|(g, ts)| (*g, *ts)).collect();
     completed.sort_unstable_by_key(|&(g, _)| g);
-    buf.put_u64_le(completed.len() as u64);
-    for (g, ts) in completed {
-        buf.put_u64_le(g);
-        buf.put_i64_le(ts);
-    }
-    buf.put_u64_le(finished.len() as u64);
-    for g in finished {
-        buf.put_u64_le(*g);
-    }
+    completed.len().encode_into(&mut buf);
+    <(u64, i64)>::encode_seq(&completed, &mut buf);
+    encode_slice(finished, &mut buf);
     // Integrated-interval section (format v4+), sorted by group id for
     // determinism: per group the `(lower_exclusive, last]` timestep
     // segments this worker integrated.
     let mut intervals: Vec<(u64, &Vec<(i64, i64)>)> =
         integrated.iter().map(|(g, segs)| (*g, segs)).collect();
     intervals.sort_unstable_by_key(|&(g, _)| g);
-    buf.put_u64_le(intervals.len() as u64);
+    intervals.len().encode_into(&mut buf);
     for (g, segs) in intervals {
         buf.put_u64_le(g);
-        buf.put_u64_le(segs.len() as u64);
-        for &(lo, hi) in segs {
-            buf.put_i64_le(lo);
-            buf.put_i64_le(hi);
-        }
+        segs.len().encode_into(&mut buf);
+        <(i64, i64)>::encode_seq(segs, &mut buf);
     }
-    buf.to_vec()
+    buf
 }
 
 /// Writes `state` to `dir`, returning the byte count (the paper reports
@@ -224,120 +206,107 @@ pub fn write_checkpoint(dir: &Path, state: &WorkerState) -> Result<u64, Checkpoi
     Ok(buf.len() as u64)
 }
 
+/// Maps a codec failure inside checkpoint section `what` to
+/// [`CheckpointError::Corrupt`].
+fn corrupt(what: &'static str) -> impl Fn(WireError) -> CheckpointError {
+    move |_| CheckpointError::Corrupt(what)
+}
+
+/// Reads a section's `u64` length field and checks it against the length
+/// the header implies.
+fn expect_len(buf: &mut &[u8], expected: usize, what: &'static str) -> Result<(), CheckpointError> {
+    if u64::decode_from(buf).map_err(corrupt(what))? != expected as u64 {
+        return Err(CheckpointError::Corrupt(what));
+    }
+    Ok(())
+}
+
+/// Reads `K` consecutive `f64` arrays of `len` values each (the arrays a
+/// single section length covers).
+fn f64_arrays<const K: usize>(
+    buf: &mut &[u8],
+    len: usize,
+    what: &'static str,
+) -> Result<[Vec<f64>; K], CheckpointError> {
+    let mut arrays: [Vec<f64>; K] = std::array::from_fn(|_| Vec::new());
+    for a in &mut arrays {
+        *a = f64::decode_seq(len, buf).map_err(corrupt(what))?;
+    }
+    Ok(arrays)
+}
+
 /// Unpacks a checkpoint byte buffer produced by [`pack_state`] (or read
 /// from a v2/v3 checkpoint file) into a [`WorkerState`] for worker
 /// `worker_id`.
+///
+/// Every count and length is checked against the remaining input before
+/// anything is allocated, so corrupt or hostile bytes (the daemon client
+/// unpacks states received over the network) fail with
+/// [`CheckpointError::Corrupt`] instead of panicking or exhausting memory.
 pub fn unpack_state(bytes: &[u8], worker_id: usize) -> Result<WorkerState, CheckpointError> {
-    let mut buf = bytes;
-
-    macro_rules! need {
-        ($n:expr, $what:expr) => {
-            if buf.remaining() < $n {
-                return Err(CheckpointError::Corrupt($what));
-            }
-        };
-    }
-
-    need!(8, "header");
-    if buf.get_u32_le() != MAGIC {
+    let buf = &mut &bytes[..];
+    let (magic, version) = <(u32, u32)>::decode_from(buf).map_err(corrupt("header"))?;
+    if magic != MAGIC {
         return Err(CheckpointError::Corrupt("bad magic"));
     }
-    let version = buf.get_u32_le();
     if !(MIN_VERSION..=VERSION).contains(&version) {
         return Err(CheckpointError::UnsupportedVersion { found: version });
     }
-    need!(8 * 3 + 4 * 2, "shape");
-    let file_worker = buf.get_u64_le() as usize;
-    if file_worker != worker_id {
+    let file_worker = u64::decode_from(buf).map_err(corrupt("shape"))?;
+    if file_worker != worker_id as u64 {
         return Err(CheckpointError::Corrupt("worker id mismatch"));
     }
-    let slab = CellRange {
-        start: buf.get_u64_le() as usize,
-        len: buf.get_u64_le() as usize,
-    };
-    let p = buf.get_u32_le() as usize;
-    let n_timesteps = buf.get_u32_le() as usize;
+    let (start, len) = <(usize, usize)>::decode_from(buf).map_err(corrupt("shape"))?;
+    let slab = CellRange { start, len };
+    let (p, n_timesteps) = <(u32, u32)>::decode_from(buf).map_err(corrupt("shape"))?;
+    let (p, n_timesteps) = (p as usize, n_timesteps as usize);
     if slab.len == 0 || p == 0 {
         return Err(CheckpointError::Corrupt("degenerate shape"));
     }
+    // Every timestep stores at least its Sobol', moments and min/max
+    // headers (16 bytes each).
+    ensure_room(buf, n_timesteps, 48, "timestep count").map_err(corrupt("timestep count"))?;
 
+    let sobol_len = p
+        .checked_mul(4)
+        .and_then(|x| x.checked_add(4))
+        .and_then(|x| x.checked_mul(slab.len))
+        .ok_or(CheckpointError::Corrupt("sobol payload length"))?;
     let mut sobol = Vec::with_capacity(n_timesteps);
     for _ in 0..n_timesteps {
-        need!(16, "sobol header");
-        let n = buf.get_u64_le();
-        let flat_len = buf.get_u64_le() as usize;
-        if flat_len != (4 + 4 * p) * slab.len {
-            return Err(CheckpointError::Corrupt("sobol payload length"));
-        }
-        need!(flat_len * 8, "sobol payload");
-        let mut flat = Vec::with_capacity(flat_len);
-        for _ in 0..flat_len {
-            flat.push(buf.get_f64_le());
-        }
+        let n = u64::decode_from(buf).map_err(corrupt("sobol header"))?;
+        expect_len(buf, sobol_len, "sobol payload length")?;
+        let flat = f64::decode_seq(sobol_len, buf).map_err(corrupt("sobol payload"))?;
         sobol.push(UbiquitousSobol::unpack(p, slab.len, n, &flat));
     }
 
     let mut moments = Vec::with_capacity(n_timesteps);
     for _ in 0..n_timesteps {
-        need!(16, "moments header");
-        let n = buf.get_u64_le();
-        let len = buf.get_u64_le() as usize;
-        if len != slab.len {
-            return Err(CheckpointError::Corrupt("moments length"));
-        }
-        need!(len * 8 * 4, "moments payload");
-        let mut arrays: Vec<Vec<f64>> = Vec::with_capacity(4);
-        for _ in 0..4 {
-            let mut a = Vec::with_capacity(len);
-            for _ in 0..len {
-                a.push(buf.get_f64_le());
-            }
-            arrays.push(a);
-        }
-        let m4 = arrays.pop().unwrap();
-        let m3 = arrays.pop().unwrap();
-        let m2 = arrays.pop().unwrap();
-        let mean = arrays.pop().unwrap();
+        let n = u64::decode_from(buf).map_err(corrupt("moments header"))?;
+        expect_len(buf, slab.len, "moments length")?;
+        let [mean, m2, m3, m4] = f64_arrays(buf, slab.len, "moments payload")?;
         moments.push(FieldMoments::from_raw_state(n, mean, m2, m3, m4));
     }
 
     let mut minmax = Vec::with_capacity(n_timesteps);
     for _ in 0..n_timesteps {
-        need!(16, "minmax header");
-        let n = buf.get_u64_le();
-        let len = buf.get_u64_le() as usize;
-        if len != slab.len {
-            return Err(CheckpointError::Corrupt("minmax length"));
-        }
-        need!(len * 8 * 2, "minmax payload");
-        let mut mn = Vec::with_capacity(len);
-        for _ in 0..len {
-            mn.push(buf.get_f64_le());
-        }
-        let mut mx = Vec::with_capacity(len);
-        for _ in 0..len {
-            mx.push(buf.get_f64_le());
-        }
+        let n = u64::decode_from(buf).map_err(corrupt("minmax header"))?;
+        expect_len(buf, slab.len, "minmax length")?;
+        let [mn, mx] = f64_arrays(buf, slab.len, "minmax payload")?;
         minmax.push(FieldMinMax::from_raw_state(n, mn, mx));
     }
 
-    need!(8, "threshold count");
-    let n_thresholds = buf.get_u64_le() as usize;
+    let n_thresholds = usize::decode_from(buf).map_err(corrupt("threshold count"))?;
+    // Each (threshold, timestep) record starts with a 24-byte header.
+    let n_records = n_thresholds.saturating_mul(n_timesteps.max(1));
+    ensure_room(buf, n_records, 24, "threshold count").map_err(corrupt("threshold count"))?;
     let mut thresholds: Vec<Vec<FieldThreshold>> = vec![Vec::new(); n_timesteps];
     for _ in 0..n_thresholds {
         for per_ts in thresholds.iter_mut() {
-            need!(24, "threshold header");
-            let threshold = buf.get_f64_le();
-            let n = buf.get_u64_le();
-            let len = buf.get_u64_le() as usize;
-            if len != slab.len {
-                return Err(CheckpointError::Corrupt("threshold length"));
-            }
-            need!(len * 8, "threshold payload");
-            let mut exceeded = Vec::with_capacity(len);
-            for _ in 0..len {
-                exceeded.push(buf.get_u64_le());
-            }
+            let (threshold, n) =
+                <(f64, u64)>::decode_from(buf).map_err(corrupt("threshold header"))?;
+            expect_len(buf, slab.len, "threshold length")?;
+            let exceeded = u64::decode_seq(slab.len, buf).map_err(corrupt("threshold payload"))?;
             per_ts.push(FieldThreshold::from_raw_state(threshold, n, exceeded));
         }
     }
@@ -350,40 +319,26 @@ pub fn unpack_state(bytes: &[u8], worker_id: usize) -> Result<WorkerState, Check
     // triggering the fresh-state fallback.
     let mut quantiles: Vec<FieldQuantiles> = Vec::new();
     if version >= 3 {
-        need!(8, "quantile prob count");
-        let n_probs = buf.get_u64_le() as usize;
+        let n_probs = usize::decode_from(buf).map_err(corrupt("quantile prob count"))?;
         if n_probs > 4096 {
             return Err(CheckpointError::Corrupt("implausible quantile count"));
         }
         if n_probs > 0 {
-            need!(8 * (1 + n_probs), "quantile config");
-            let gamma = buf.get_f64_le();
+            let gamma = f64::decode_from(buf).map_err(corrupt("quantile config"))?;
             if !(gamma > 0.5 && gamma <= 1.0) {
                 return Err(CheckpointError::Corrupt("quantile step exponent"));
             }
-            let mut probs = Vec::with_capacity(n_probs);
-            for _ in 0..n_probs {
-                let p = buf.get_f64_le();
-                if !(p > 0.0 && p < 1.0) {
-                    return Err(CheckpointError::Corrupt("quantile probability"));
-                }
-                probs.push(p);
+            let probs = f64::decode_seq(n_probs, buf).map_err(corrupt("quantile config"))?;
+            if probs.iter().any(|&p| !(p > 0.0 && p < 1.0)) {
+                return Err(CheckpointError::Corrupt("quantile probability"));
             }
-            let expected_flat = n_probs
+            let flat_len = n_probs
                 .checked_mul(slab.len)
                 .ok_or(CheckpointError::Corrupt("quantile payload length"))?;
             for _ in 0..n_timesteps {
-                need!(16, "quantile header");
-                let n = buf.get_u64_le();
-                let flat_len = buf.get_u64_le() as usize;
-                if flat_len != expected_flat {
-                    return Err(CheckpointError::Corrupt("quantile payload length"));
-                }
-                need!(flat_len * 8, "quantile payload");
-                let mut flat = Vec::with_capacity(flat_len);
-                for _ in 0..flat_len {
-                    flat.push(buf.get_f64_le());
-                }
+                let n = u64::decode_from(buf).map_err(corrupt("quantile header"))?;
+                expect_len(buf, flat_len, "quantile payload length")?;
+                let flat = f64::decode_seq(flat_len, buf).map_err(corrupt("quantile payload"))?;
                 quantiles.push(FieldQuantiles::from_raw_state(
                     slab.len, &probs, gamma, n, &flat,
                 ));
@@ -391,43 +346,26 @@ pub fn unpack_state(bytes: &[u8], worker_id: usize) -> Result<WorkerState, Check
         }
     }
 
-    need!(8, "bookkeeping");
-    let n_groups = buf.get_u64_le() as usize;
-    let mut last_completed = HashMap::with_capacity(n_groups);
-    for _ in 0..n_groups {
-        need!(16, "last_completed entry");
-        let g = buf.get_u64_le();
-        let ts = buf.get_i64_le();
-        last_completed.insert(g, ts);
-    }
-    need!(8, "finished count");
-    let n_finished = buf.get_u64_le() as usize;
-    let mut finished = Vec::with_capacity(n_finished);
-    for _ in 0..n_finished {
-        need!(8, "finished entry");
-        finished.push(buf.get_u64_le());
-    }
+    let n_groups = usize::decode_from(buf).map_err(corrupt("bookkeeping"))?;
+    let last_completed: HashMap<u64, i64> = <(u64, i64)>::decode_seq(n_groups, buf)
+        .map_err(corrupt("last_completed entry"))?
+        .into_iter()
+        .collect();
+    let finished = Vec::<u64>::decode_from(buf).map_err(corrupt("finished list"))?;
 
     // Integrated-interval section: absent before v4.  Legacy states were
     // written before migration existed, so each group's integration is
     // exactly the contiguous range `(-1, last_completed]`.
     let mut integrated: HashMap<u64, Vec<(i64, i64)>> = HashMap::new();
     if version >= 4 {
-        need!(8, "interval group count");
-        let n_interval_groups = buf.get_u64_le() as usize;
+        let n_interval_groups = usize::decode_from(buf).map_err(corrupt("interval group count"))?;
         for _ in 0..n_interval_groups {
-            need!(16, "interval group header");
-            let g = buf.get_u64_le();
-            let n_segs = buf.get_u64_le() as usize;
-            need!(n_segs * 16, "interval segments");
-            let mut segs = Vec::with_capacity(n_segs);
-            for _ in 0..n_segs {
-                let lo = buf.get_i64_le();
-                let hi = buf.get_i64_le();
-                if lo >= hi {
-                    return Err(CheckpointError::Corrupt("empty interval segment"));
-                }
-                segs.push((lo, hi));
+            let (g, n_segs) =
+                <(u64, usize)>::decode_from(buf).map_err(corrupt("interval group header"))?;
+            let segs =
+                <(i64, i64)>::decode_seq(n_segs, buf).map_err(corrupt("interval segments"))?;
+            if segs.iter().any(|&(lo, hi)| lo >= hi) {
+                return Err(CheckpointError::Corrupt("empty interval segment"));
             }
             integrated.insert(g, segs);
         }
@@ -464,6 +402,7 @@ pub fn read_checkpoint(dir: &Path, worker_id: usize) -> Result<WorkerState, Chec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("melissa-ckpt-{tag}-{}", std::process::id()));
@@ -830,5 +769,66 @@ mod tests {
             Err(CheckpointError::Corrupt(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A v4 header for worker 0 (2 cells, `p = 1`) claiming
+    /// `n_timesteps`, followed by `rest`.
+    fn crafted(n_timesteps: u32, rest: &[u64]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.put_u32_le(MAGIC);
+        buf.put_u32_le(VERSION);
+        for v in [0u64, 0, 2] {
+            buf.put_u64_le(v); // worker id, slab start, slab length
+        }
+        buf.put_u32_le(1);
+        buf.put_u32_le(n_timesteps);
+        for &v in rest {
+            buf.put_u64_le(v);
+        }
+        buf
+    }
+
+    fn assert_corrupt(bytes: &[u8]) {
+        match unpack_state(bytes, 0) {
+            Err(CheckpointError::Corrupt(_)) => {}
+            Err(e) => panic!("expected a corrupt-checkpoint error, got {e}"),
+            Ok(_) => panic!("hostile checkpoint unpacked"),
+        }
+    }
+
+    #[test]
+    fn hostile_timestep_count_is_corrupt_not_an_allocation() {
+        assert_corrupt(&crafted(u32::MAX, &[]));
+    }
+
+    #[test]
+    fn hostile_group_count_is_corrupt_not_a_capacity_overflow() {
+        // No timesteps, no thresholds, no quantiles, then the bookkeeping
+        // count.
+        assert_corrupt(&crafted(0, &[0, 0, u64::MAX]));
+    }
+
+    #[test]
+    fn hostile_interval_segment_count_is_corrupt_not_an_overflow() {
+        // Empty bookkeeping, one interval group (id 7) claiming 2^60
+        // segments: 2^60 * 16 bytes overflows `usize`.
+        assert_corrupt(&crafted(0, &[0, 0, 0, 0, 1, 7, 1 << 60]));
+    }
+
+    #[test]
+    fn hostile_threshold_count_is_corrupt() {
+        assert_corrupt(&crafted(0, &[u64::MAX]));
+        assert_corrupt(&crafted(0, &[1 << 62]));
+    }
+
+    #[test]
+    fn every_truncation_of_a_real_checkpoint_is_corrupt() {
+        let bytes = pack_state(&populated_state());
+        for cut in 0..bytes.len() {
+            assert!(
+                unpack_state(&bytes[..cut], 2).is_err(),
+                "{cut}-byte prefix unpacked"
+            );
+        }
     }
 }

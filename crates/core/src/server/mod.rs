@@ -40,6 +40,7 @@ use std::time::{Duration, Instant};
 
 use melissa_mesh::SlabPartition;
 use melissa_telemetry::{LinkScrape, ScrapeRequest, ScrapeSnapshot, Telemetry};
+use melissa_transport::codec::Wire;
 use melissa_transport::directory::names;
 use melissa_transport::{
     BoxReceiver, BoxSender, KillSwitch, LinkStatsSnapshot, LivenessTracker, RecvTimeoutError,

@@ -20,11 +20,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
 use melissa::client::ClientError;
 use melissa::server::checkpoint::unpack_state;
 use melissa::{StudyConfig, StudyResults};
 use melissa_telemetry::{scrape_endpoint_reply, ScrapeFormat, ScrapeReply};
+use melissa_transport::codec::Wire;
 use melissa_transport::directory::names;
 use melissa_transport::{ConnectError, Transport};
 
@@ -86,13 +86,12 @@ impl DaemonClient {
                 .transport
                 .connect_retry(&names::daemon_ctl(), self.timeout)
                 .map_err(connect_failure)?;
-            let mut buf = BytesMut::new();
-            DaemonRequest {
+            let request = DaemonRequest {
                 reply_to: reply_to.clone(),
                 op,
-            }
-            .encode_into(&mut buf);
-            tx.send(buf.freeze()).map_err(|_| ClientError::SendFailed)?;
+            };
+            tx.send(request.to_bytes())
+                .map_err(|_| ClientError::SendFailed)?;
             let frame = rx
                 .recv_timeout(self.timeout)
                 .map_err(|_| ClientError::HandshakeTimeout)?;

@@ -31,11 +31,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
 use melissa::server::checkpoint::pack_state;
 use melissa::{Study, StudyConfig, StudyRuntime};
 use melissa_scheduler::FairRunner;
 use melissa_telemetry::ScrapeRequest;
+use melissa_transport::codec::Wire;
 use melissa_transport::directory::names;
 use melissa_transport::{KillSwitch, RecvTimeoutError, Transport};
 use parking_lot::Mutex;
@@ -475,8 +475,6 @@ impl DaemonState {
     }
 
     fn send_reply(&self, reply_to: &str, reply: &DaemonReply) {
-        let mut buf = BytesMut::new();
-        reply.encode_into(&mut buf);
         // The client binds its reply endpoint before sending, so a
         // short retry covers only directory propagation; a vanished
         // client is its own problem.
@@ -484,7 +482,7 @@ impl DaemonState {
             .transport
             .connect_retry(reply_to, Duration::from_secs(1))
         {
-            let _ = tx.send(buf.freeze());
+            let _ = tx.send(reply.to_bytes());
         }
     }
 

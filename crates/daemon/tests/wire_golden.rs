@@ -10,9 +10,8 @@ use std::time::Duration;
 
 use bytes::BytesMut;
 use melissa::StudyConfig;
-use melissa_daemon::protocol::{
-    decode_study_config, encode_study_config, DaemonOp, DaemonReply, DaemonRequest, StudyState,
-};
+use melissa_daemon::protocol::{DaemonOp, DaemonReply, DaemonRequest, StudyState};
+use melissa_transport::codec::Wire;
 use melissa_transport::{TransportKind, WireCompression};
 
 fn hex(bytes: &[u8]) -> String {
@@ -161,14 +160,14 @@ fn study_configs_match_their_golden_bytes() {
     let mut mismatches = Vec::new();
     for (i, (config, golden)) in config_fixtures().into_iter().enumerate() {
         let mut buf = BytesMut::new();
-        encode_study_config(&mut buf, &config);
+        config.encode_into(&mut buf);
         if !check(&mut mismatches, format!("config {i}"), &buf, golden) {
             continue;
         }
         let bytes = unhex(golden);
         let mut slice: &[u8] = &bytes;
         assert_eq!(
-            decode_study_config(&mut slice).expect("golden decodes"),
+            StudyConfig::decode_from(&mut slice).expect("golden decodes"),
             config
         );
         assert!(slice.is_empty());

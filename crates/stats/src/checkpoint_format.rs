@@ -1,4 +1,4 @@
-//! The checkpoint wire format (v2/v3): field tables for the byte layout
+//! The checkpoint wire format (v2–v4): field tables for the byte layout
 //! every statistics family round-trips through.
 //!
 //! This is a **documentation-only** module.  The codec itself lives in
@@ -15,12 +15,16 @@
 //! ## Conventions
 //!
 //! * **Endianness** — every integer and float is **little-endian**
-//!   (`put_u32_le`/`put_u64_le`/`put_f64_le` of the
-//!   `melissa_transport::codec` / `bytes` helpers).  There is no
-//!   alignment or padding: fields are packed back to back.
-//! * **Lengths before payloads** — every variable-length array is
-//!   preceded by its element count as a `u64`, so a reader can validate
-//!   section sizes before allocating.
+//!   (the scalar layouts of `melissa_transport::codec::Wire`).  There is
+//!   no alignment or padding: fields are packed back to back.
+//! * **Lengths before payloads** — every variable-length array (or, for
+//!   the moment and min/max sections, every group of equal-length
+//!   arrays) is preceded by its element count as a `u64`.  The reader
+//!   validates every count against the length the header implies and
+//!   against the bytes remaining — with checked arithmetic — *before*
+//!   allocating, so a corrupt or hostile file fails as
+//!   `CheckpointError::Corrupt` instead of panicking or exhausting
+//!   memory.
 //! * **Determinism rule (sorted bookkeeping)** — the serialized bytes
 //!   are a *pure function of the logical state*.  Wherever the in-memory
 //!   representation has nondeterministic order (the `last_completed`
@@ -35,7 +39,7 @@
 //! | field | type | value / meaning |
 //! |---|---|---|
 //! | magic | `u32` | `0x4d4c5341` (`"MLSA"`) |
-//! | version | `u32` | `3` (current); `2` still readable |
+//! | version | `u32` | `4` (current); `2` and `3` still readable |
 //! | worker_id | `u64` | owning worker; must match the file name |
 //! | slab.start | `u64` | first global cell of the worker's slab |
 //! | slab.len | `u64` | cells in the slab (all per-cell arrays use this length) |
@@ -122,10 +126,30 @@
 //! study end, pending assemblies belong only to abandoned groups whose
 //! partial data was never integrated anywhere.
 //!
+//! ## Section 7 — integrated intervals (v4+ only)
+//!
+//! Per group, the exact timestep segments `(lower_exclusive, last]` this
+//! worker integrated — one segment for a group that never migrated,
+//! several when a group left and came back.  The study-end reduction
+//! uses them to prove exactly-once integration across state lineages.
+//!
+//! | field | type | meaning |
+//! |---|---|---|
+//! | n_interval_groups | `u64` | groups with a ledger |
+//! | per group: group | `u64` | group id, **sorted ascending** (the determinism rule) |
+//! | per group: n_segs | `u64` | segments in the ledger |
+//! | per group: segments | `(i64, i64) × n_segs` | `(lower_exclusive, last)`, each with `lower < last` |
+//!
+//! v2/v3 files carry no Section 7; a restore synthesizes the single
+//! segment `(-1, last_completed]` per group, which is exact for any
+//! state written before migration existed.
+//!
 //! ## Version history
 //!
-//! * **v3** (current) — adds Section 5.  Re-writing a restored v3 state
-//!   reproduces the file bit for bit.
+//! * **v4** (current) — adds Section 7.  Re-writing a restored v4 state
+//!   reproduces the file bit for bit (pinned by the golden fixture in
+//!   `crates/core/tests/wire_golden.rs`).
+//! * **v3** (read-only) — Sections 1–6.
 //! * **v2** (read-only) — Sections 1–4 and 6 exactly as above.  The core
-//!   crate keeps a pinned legacy v2 writer in its tests so a format
+//!   crate keeps a pinned legacy v2/v3 writer in its tests so a format
 //!   regression cannot silently rewrite history.

@@ -9,11 +9,6 @@
 //! ([`EventKind::render`] / [`StudyEvent::contains`]), so reports read
 //! exactly as before.
 
-use bytes::{BufMut, BytesMut};
-use melissa_transport::codec::{
-    get_f64, get_str, get_u32, get_u64, get_u8, put_str, WireError, WireResult,
-};
-
 /// What happened — one variant per supervisor event class, with the
 /// free-text escape hatch [`EventKind::Info`] for anything else.
 #[derive(Debug, Clone, PartialEq)]
@@ -226,28 +221,26 @@ impl EventKind {
             EventKind::Info { text } => text.clone(),
         }
     }
-
-    fn tag(&self) -> u8 {
-        match self {
-            EventKind::GroupTimeout { .. } => 1,
-            EventKind::GroupRestarted { .. } => 2,
-            EventKind::GroupDied { .. } => 3,
-            EventKind::GroupZombie { .. } => 4,
-            EventKind::GroupAbandoned { .. } => 5,
-            EventKind::GroupResubmitted { .. } => 6,
-            EventKind::ServerRestarted => 7,
-            EventKind::ServerKillInjected { .. } => 8,
-            EventKind::ShardDeathInjected { .. } => 9,
-            EventKind::MigrationFence { .. } => 10,
-            EventKind::GroupsAdopted { .. } => 11,
-            EventKind::FinishedDuringFence { .. } => 12,
-            EventKind::ShardRehomed { .. } => 13,
-            EventKind::CheckpointUnreadable { .. } => 14,
-            EventKind::EarlyStop { .. } => 15,
-            EventKind::Info { .. } => 16,
-        }
-    }
 }
+
+melissa_transport::wire_enum!(EventKind {
+    1 => GroupTimeout { group },
+    2 => GroupRestarted { group, instance },
+    3 => GroupDied { group, instance, detail },
+    4 => GroupZombie { group, instance },
+    5 => GroupAbandoned { group, retries },
+    6 => GroupResubmitted { group, instance },
+    7 => ServerRestarted,
+    8 => ServerKillInjected { finished },
+    9 => ShardDeathInjected { finished, rehome_to },
+    10 => MigrationFence { epoch, n_groups, from, to },
+    11 => GroupsAdopted { epoch, n_groups, from },
+    12 => FinishedDuringFence { group, shard },
+    13 => ShardRehomed { epoch, n_groups, from, to },
+    14 => CheckpointUnreadable { worker, detail },
+    15 => EarlyStop { max_ci, max_qstep, cancelled },
+    16 => Info { text },
+});
 
 /// One journal entry: what happened, where and when.
 #[derive(Debug, Clone, PartialEq)]
@@ -281,198 +274,17 @@ impl StudyEvent {
     pub fn order_key(&self) -> (u64, u32, u64) {
         (self.at_nanos, self.shard, self.seq)
     }
-
-    /// Serialises the event with the fixed little-endian codec.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.seq);
-        buf.put_u64_le(self.at_nanos);
-        buf.put_u32_le(self.shard);
-        buf.put_u8(self.kind.tag());
-        match &self.kind {
-            EventKind::GroupTimeout { group } => buf.put_u64_le(*group),
-            EventKind::GroupRestarted { group, instance }
-            | EventKind::GroupResubmitted { group, instance }
-            | EventKind::GroupZombie { group, instance } => {
-                buf.put_u64_le(*group);
-                buf.put_u32_le(*instance);
-            }
-            EventKind::GroupDied {
-                group,
-                instance,
-                detail,
-            } => {
-                buf.put_u64_le(*group);
-                buf.put_u32_le(*instance);
-                put_str(buf, detail);
-            }
-            EventKind::GroupAbandoned { group, retries } => {
-                buf.put_u64_le(*group);
-                buf.put_u32_le(*retries);
-            }
-            EventKind::ServerRestarted => {}
-            EventKind::ServerKillInjected { finished } => buf.put_u64_le(*finished),
-            EventKind::ShardDeathInjected {
-                finished,
-                rehome_to,
-            } => {
-                buf.put_u64_le(*finished);
-                buf.put_u32_le(*rehome_to);
-            }
-            EventKind::MigrationFence {
-                epoch,
-                n_groups,
-                from,
-                to,
-            }
-            | EventKind::ShardRehomed {
-                epoch,
-                n_groups,
-                from,
-                to,
-            } => {
-                buf.put_u64_le(*epoch);
-                buf.put_u64_le(*n_groups);
-                buf.put_u32_le(*from);
-                buf.put_u32_le(*to);
-            }
-            EventKind::GroupsAdopted {
-                epoch,
-                n_groups,
-                from,
-            } => {
-                buf.put_u64_le(*epoch);
-                buf.put_u64_le(*n_groups);
-                buf.put_u32_le(*from);
-            }
-            EventKind::FinishedDuringFence { group, shard } => {
-                buf.put_u64_le(*group);
-                buf.put_u32_le(*shard);
-            }
-            EventKind::CheckpointUnreadable { worker, detail } => {
-                buf.put_u32_le(*worker);
-                put_str(buf, detail);
-            }
-            EventKind::EarlyStop {
-                max_ci,
-                max_qstep,
-                cancelled,
-            } => {
-                buf.put_f64_le(*max_ci);
-                buf.put_f64_le(*max_qstep);
-                buf.put_u64_le(*cancelled);
-            }
-            EventKind::Info { text } => put_str(buf, text),
-        }
-    }
-
-    /// Decodes one event produced by [`encode_into`](Self::encode_into).
-    pub fn decode_from(buf: &mut &[u8]) -> WireResult<Self> {
-        let seq = get_u64(buf, "event seq")?;
-        let at_nanos = get_u64(buf, "event timestamp")?;
-        let shard = get_u32(buf, "event shard")?;
-        let tag = get_u8(buf, "event tag")?;
-        let kind = match tag {
-            1 => EventKind::GroupTimeout {
-                group: get_u64(buf, "group id")?,
-            },
-            2 => EventKind::GroupRestarted {
-                group: get_u64(buf, "group id")?,
-                instance: get_u32(buf, "instance")?,
-            },
-            3 => EventKind::GroupDied {
-                group: get_u64(buf, "group id")?,
-                instance: get_u32(buf, "instance")?,
-                detail: get_str(buf, "detail")?,
-            },
-            4 => EventKind::GroupZombie {
-                group: get_u64(buf, "group id")?,
-                instance: get_u32(buf, "instance")?,
-            },
-            5 => EventKind::GroupAbandoned {
-                group: get_u64(buf, "group id")?,
-                retries: get_u32(buf, "retries")?,
-            },
-            6 => EventKind::GroupResubmitted {
-                group: get_u64(buf, "group id")?,
-                instance: get_u32(buf, "instance")?,
-            },
-            7 => EventKind::ServerRestarted,
-            8 => EventKind::ServerKillInjected {
-                finished: get_u64(buf, "finished")?,
-            },
-            9 => EventKind::ShardDeathInjected {
-                finished: get_u64(buf, "finished")?,
-                rehome_to: get_u32(buf, "rehome target")?,
-            },
-            10 => EventKind::MigrationFence {
-                epoch: get_u64(buf, "epoch")?,
-                n_groups: get_u64(buf, "group count")?,
-                from: get_u32(buf, "source")?,
-                to: get_u32(buf, "target")?,
-            },
-            11 => EventKind::GroupsAdopted {
-                epoch: get_u64(buf, "epoch")?,
-                n_groups: get_u64(buf, "group count")?,
-                from: get_u32(buf, "source")?,
-            },
-            12 => EventKind::FinishedDuringFence {
-                group: get_u64(buf, "group id")?,
-                shard: get_u32(buf, "shard")?,
-            },
-            13 => EventKind::ShardRehomed {
-                epoch: get_u64(buf, "epoch")?,
-                n_groups: get_u64(buf, "group count")?,
-                from: get_u32(buf, "source")?,
-                to: get_u32(buf, "target")?,
-            },
-            14 => EventKind::CheckpointUnreadable {
-                worker: get_u32(buf, "worker")?,
-                detail: get_str(buf, "detail")?,
-            },
-            15 => EventKind::EarlyStop {
-                max_ci: get_f64(buf, "max ci")?,
-                max_qstep: get_f64(buf, "max qstep")?,
-                cancelled: get_u64(buf, "cancelled")?,
-            },
-            16 => EventKind::Info {
-                text: get_str(buf, "text")?,
-            },
-            _ => {
-                return Err(WireError::Invalid {
-                    what: "unknown event tag",
-                })
-            }
-        };
-        Ok(Self {
-            seq,
-            at_nanos,
-            shard,
-            kind,
-        })
-    }
 }
 
-/// Encodes a whole journal (`u32` count + events).
-pub fn encode_events(events: &[StudyEvent], buf: &mut BytesMut) {
-    buf.put_u32_le(events.len() as u32);
-    for e in events {
-        e.encode_into(buf);
-    }
-}
-
-/// Decodes a journal produced by [`encode_events`].
-pub fn decode_events(buf: &mut &[u8]) -> WireResult<Vec<StudyEvent>> {
-    let n = get_u32(buf, "event count")?;
-    let mut out = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        out.push(StudyEvent::decode_from(buf)?);
-    }
-    Ok(out)
+// A journal travels as `Vec<StudyEvent>`: a `u32` count, then the events.
+melissa_transport::wire_struct! {
+    StudyEvent { seq, at_nanos, shard, kind }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use melissa_transport::codec::Wire;
 
     fn every_kind() -> Vec<EventKind> {
         vec![
@@ -549,10 +361,9 @@ mod tests {
                 kind,
             })
             .collect();
-        let mut buf = BytesMut::new();
-        encode_events(&events, &mut buf);
+        let buf = events.to_bytes();
         let mut slice: &[u8] = &buf;
-        let back = decode_events(&mut slice).unwrap();
+        let back = Vec::<StudyEvent>::decode_from(&mut slice).unwrap();
         assert_eq!(back, events);
         assert!(slice.is_empty());
     }
@@ -600,5 +411,11 @@ mod tests {
         events.sort_by_key(|e| e.order_key());
         let keys: Vec<_> = events.iter().map(|e| e.order_key()).collect();
         assert_eq!(keys, vec![(3, 2, 0), (5, 0, 0), (5, 0, 1), (5, 1, 0)]);
+    }
+
+    #[test]
+    fn hostile_journal_count_is_an_error_not_an_allocation() {
+        let mut frame: &[u8] = &[0xff; 4];
+        assert!(Vec::<StudyEvent>::decode_from(&mut frame).is_err());
     }
 }

@@ -32,7 +32,7 @@ pub mod events;
 pub mod metrics;
 pub mod scrape;
 
-pub use events::{decode_events, encode_events, EventKind, StudyEvent};
+pub use events::{EventKind, StudyEvent};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry, N_BUCKETS,
 };

@@ -17,8 +17,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::{BufMut, BytesMut};
-use melissa_transport::codec::{get_str, get_u64, put_str, WireResult};
+use melissa_transport::codec::{Buf, BufMut, Wire, WireResult};
 use parking_lot::RwLock;
 
 /// Number of histogram buckets: one zero bucket plus one per power of
@@ -295,59 +294,26 @@ impl MetricsSnapshot {
         }
         self.histograms = merged.into_iter().collect();
     }
+}
 
-    /// Serialises the snapshot with the fixed little-endian codec.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.counters.len() as u32);
-        for (name, v) in &self.counters {
-            put_str(buf, name);
-            buf.put_u64_le(*v);
-        }
-        buf.put_u32_le(self.gauges.len() as u32);
-        for (name, v) in &self.gauges {
-            put_str(buf, name);
-            buf.put_u64_le(*v);
-        }
-        buf.put_u32_le(self.histograms.len() as u32);
-        for (name, h) in &self.histograms {
-            put_str(buf, name);
-            buf.put_u64_le(h.sum);
-            for b in &h.buckets {
-                buf.put_u64_le(*b);
-            }
-        }
+melissa_transport::wire_struct! {
+    MetricsSnapshot { counters, gauges, histograms }
+}
+
+/// The sum, then exactly [`N_BUCKETS`] bucket counts (no length prefix:
+/// the bucket count is fixed).
+impl Wire for HistogramSnapshot {
+    const MIN_SIZE: usize = 8 * (1 + N_BUCKETS);
+
+    fn encode_into<B: BufMut>(&self, buf: &mut B) {
+        self.sum.encode_into(buf);
+        u64::encode_seq(&self.buckets, buf);
     }
 
-    /// Decodes a snapshot produced by [`encode_into`](Self::encode_into).
-    pub fn decode_from(buf: &mut &[u8]) -> WireResult<Self> {
-        use melissa_transport::codec::get_u32;
-        let n = get_u32(buf, "counter count")?;
-        let mut counters = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let name = get_str(buf, "counter name")?;
-            counters.push((name, get_u64(buf, "counter value")?));
-        }
-        let n = get_u32(buf, "gauge count")?;
-        let mut gauges = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let name = get_str(buf, "gauge name")?;
-            gauges.push((name, get_u64(buf, "gauge value")?));
-        }
-        let n = get_u32(buf, "histogram count")?;
-        let mut histograms = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let name = get_str(buf, "histogram name")?;
-            let sum = get_u64(buf, "histogram sum")?;
-            let mut buckets = Vec::with_capacity(N_BUCKETS);
-            for _ in 0..N_BUCKETS {
-                buckets.push(get_u64(buf, "histogram bucket")?);
-            }
-            histograms.push((name, HistogramSnapshot { buckets, sum }));
-        }
+    fn decode_from<B: Buf>(buf: &mut B) -> WireResult<Self> {
         Ok(Self {
-            counters,
-            gauges,
-            histograms,
+            sum: u64::decode_from(buf)?,
+            buckets: u64::decode_seq(N_BUCKETS, buf)?,
         })
     }
 }
@@ -419,8 +385,7 @@ mod tests {
         reg.gauge("g").set(9);
         reg.histogram("h").record(100);
         let snap = reg.snapshot();
-        let mut buf = BytesMut::new();
-        snap.encode_into(&mut buf);
+        let buf = snap.to_bytes();
         let mut slice: &[u8] = &buf;
         let back = MetricsSnapshot::decode_from(&mut slice).unwrap();
         assert_eq!(back, snap);
@@ -442,5 +407,11 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counters, vec![("x".into(), 3), ("y".into(), 5)]);
         assert_eq!(a.gauges, vec![("e".into(), 3)], "gauges take the max");
+    }
+
+    #[test]
+    fn hostile_metric_count_is_an_error_not_an_allocation() {
+        let mut frame: &[u8] = &[0xff; 4];
+        assert!(MetricsSnapshot::decode_from(&mut frame).is_err());
     }
 }

@@ -19,13 +19,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::{BufMut, BytesMut};
-use melissa_transport::codec::{
-    get_f64, get_str, get_u32, get_u64, get_u8, put_str, WireError, WireResult,
-};
+use melissa_transport::codec::{Buf, Wire, WireError, WireResult};
 use melissa_transport::directory::names;
 use melissa_transport::{Frame, LinkStatsSnapshot, Transport};
 
-use crate::events::{decode_events, encode_events, StudyEvent};
+use crate::events::StudyEvent;
 use crate::metrics::MetricsSnapshot;
 
 /// Snapshot wire format a scraper can ask for.
@@ -40,26 +38,11 @@ pub enum ScrapeFormat {
     Prometheus,
 }
 
-impl ScrapeFormat {
-    fn as_byte(self) -> u8 {
-        match self {
-            ScrapeFormat::Binary => 0,
-            ScrapeFormat::Json => 1,
-            ScrapeFormat::Prometheus => 2,
-        }
-    }
-
-    fn from_byte(b: u8) -> WireResult<Self> {
-        match b {
-            0 => Ok(ScrapeFormat::Binary),
-            1 => Ok(ScrapeFormat::Json),
-            2 => Ok(ScrapeFormat::Prometheus),
-            _ => Err(WireError::Invalid {
-                what: "unknown scrape format",
-            }),
-        }
-    }
-}
+melissa_transport::wire_enum!(ScrapeFormat {
+    0 => Binary,
+    1 => Json,
+    2 => Prometheus,
+});
 
 /// A scraper's request: where to send the reply, and in which format.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,25 +53,28 @@ pub struct ScrapeRequest {
     pub format: ScrapeFormat,
 }
 
-impl ScrapeRequest {
-    /// Serialises the request.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u8(1);
-        put_str(buf, &self.reply_to);
-        buf.put_u8(self.format.as_byte());
+/// Leading byte of every request frame (room for other request kinds).
+const SCRAPE_REQUEST_TAG: u8 = 1;
+
+impl Wire for ScrapeRequest {
+    const MIN_SIZE: usize = 1 + String::MIN_SIZE + ScrapeFormat::MIN_SIZE;
+
+    fn encode_into<B: BufMut>(&self, buf: &mut B) {
+        SCRAPE_REQUEST_TAG.encode_into(buf);
+        self.reply_to.encode_into(buf);
+        self.format.encode_into(buf);
     }
 
-    /// Decodes a request frame.
-    pub fn decode_from(buf: &mut &[u8]) -> WireResult<Self> {
-        let tag = get_u8(buf, "scrape request tag")?;
-        if tag != 1 {
+    fn decode_from<B: Buf>(buf: &mut B) -> WireResult<Self> {
+        if u8::decode_from(buf)? != SCRAPE_REQUEST_TAG {
             return Err(WireError::Invalid {
                 what: "not a scrape request",
             });
         }
-        let reply_to = get_str(buf, "scrape reply endpoint")?;
-        let format = ScrapeFormat::from_byte(get_u8(buf, "scrape format")?)?;
-        Ok(Self { reply_to, format })
+        Ok(Self {
+            reply_to: String::decode_from(buf)?,
+            format: ScrapeFormat::decode_from(buf)?,
+        })
     }
 }
 
@@ -111,6 +97,10 @@ pub struct LinkScrape {
     pub blocked_sends: u64,
     /// Nanoseconds spent blocked.
     pub blocked_nanos: u64,
+}
+
+melissa_transport::wire_struct! {
+    LinkScrape { endpoint, messages, bytes, wire_bytes, blocked_sends, blocked_nanos }
 }
 
 impl LinkScrape {
@@ -157,72 +147,14 @@ pub struct ScrapeSnapshot {
     pub events: Vec<StudyEvent>,
 }
 
+melissa_transport::wire_struct! {
+    ScrapeSnapshot {
+        shard, backend, uptime_nanos, groups_finished, groups_running, max_ci_width,
+        max_quantile_step, routing_epoch, reconnects, links, metrics, events,
+    }
+}
+
 impl ScrapeSnapshot {
-    /// Serialises the snapshot with the fixed codec.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.shard);
-        put_str(buf, &self.backend);
-        buf.put_u64_le(self.uptime_nanos);
-        buf.put_u64_le(self.groups_finished);
-        buf.put_u64_le(self.groups_running);
-        buf.put_f64_le(self.max_ci_width);
-        buf.put_f64_le(self.max_quantile_step);
-        buf.put_u64_le(self.routing_epoch);
-        buf.put_u64_le(self.reconnects);
-        buf.put_u32_le(self.links.len() as u32);
-        for l in &self.links {
-            put_str(buf, &l.endpoint);
-            buf.put_u64_le(l.messages);
-            buf.put_u64_le(l.bytes);
-            buf.put_u64_le(l.wire_bytes);
-            buf.put_u64_le(l.blocked_sends);
-            buf.put_u64_le(l.blocked_nanos);
-        }
-        self.metrics.encode_into(buf);
-        encode_events(&self.events, buf);
-    }
-
-    /// Decodes a snapshot produced by [`encode_into`](Self::encode_into).
-    pub fn decode_from(buf: &mut &[u8]) -> WireResult<Self> {
-        let shard = get_u32(buf, "snapshot shard")?;
-        let backend = get_str(buf, "snapshot backend")?;
-        let uptime_nanos = get_u64(buf, "snapshot uptime")?;
-        let groups_finished = get_u64(buf, "groups finished")?;
-        let groups_running = get_u64(buf, "groups running")?;
-        let max_ci_width = get_f64(buf, "max ci width")?;
-        let max_quantile_step = get_f64(buf, "max quantile step")?;
-        let routing_epoch = get_u64(buf, "routing epoch")?;
-        let reconnects = get_u64(buf, "reconnects")?;
-        let n_links = get_u32(buf, "link count")?;
-        let mut links = Vec::with_capacity(n_links as usize);
-        for _ in 0..n_links {
-            links.push(LinkScrape {
-                endpoint: get_str(buf, "link endpoint")?,
-                messages: get_u64(buf, "link messages")?,
-                bytes: get_u64(buf, "link bytes")?,
-                wire_bytes: get_u64(buf, "link wire bytes")?,
-                blocked_sends: get_u64(buf, "link blocked sends")?,
-                blocked_nanos: get_u64(buf, "link blocked nanos")?,
-            });
-        }
-        let metrics = MetricsSnapshot::decode_from(buf)?;
-        let events = decode_events(buf)?;
-        Ok(Self {
-            shard,
-            backend,
-            uptime_nanos,
-            groups_finished,
-            groups_running,
-            max_ci_width,
-            max_quantile_step,
-            routing_epoch,
-            reconnects,
-            links,
-            metrics,
-            events,
-        })
-    }
-
     /// Renders the snapshot as a JSON object (hand-rolled: no serde in
     /// this reproduction).  Non-finite floats render as `null`.
     pub fn to_json(&self) -> String {
@@ -406,7 +338,7 @@ impl ScrapeSnapshot {
     /// (one format byte, then the body).
     pub fn encode_reply(&self, format: ScrapeFormat) -> Frame {
         let mut buf = BytesMut::new();
-        buf.put_u8(format.as_byte());
+        format.encode_into(&mut buf);
         match format {
             ScrapeFormat::Binary => self.encode_into(&mut buf),
             ScrapeFormat::Json => buf.put_slice(self.to_json().as_bytes()),
@@ -426,20 +358,36 @@ pub enum ScrapeReply {
     Text(String),
 }
 
-impl ScrapeReply {
-    /// Decodes a reply frame produced by [`ScrapeSnapshot::encode_reply`].
-    pub fn decode_from(buf: &mut &[u8]) -> WireResult<Self> {
-        let format = ScrapeFormat::from_byte(get_u8(buf, "scrape reply format")?)?;
-        match format {
-            ScrapeFormat::Binary => Ok(ScrapeReply::Snapshot(Box::new(
-                ScrapeSnapshot::decode_from(buf)?,
-            ))),
+/// The format byte, then the snapshot (binary) or the UTF-8 text to the
+/// end of the frame.  Text has no length prefix, so a text reply must be
+/// the last thing in its frame; a decoded `Text` re-encodes under the
+/// JSON byte (the byte only tells a reader that text follows).
+impl Wire for ScrapeReply {
+    const MIN_SIZE: usize = ScrapeFormat::MIN_SIZE;
+
+    fn encode_into<B: BufMut>(&self, buf: &mut B) {
+        match self {
+            ScrapeReply::Snapshot(s) => {
+                ScrapeFormat::Binary.encode_into(buf);
+                s.encode_into(buf);
+            }
+            ScrapeReply::Text(t) => {
+                ScrapeFormat::Json.encode_into(buf);
+                buf.put_slice(t.as_bytes());
+            }
+        }
+    }
+
+    fn decode_from<B: Buf>(buf: &mut B) -> WireResult<Self> {
+        match ScrapeFormat::decode_from(buf)? {
+            ScrapeFormat::Binary => Ok(ScrapeReply::Snapshot(Box::decode_from(buf)?)),
             ScrapeFormat::Json | ScrapeFormat::Prometheus => {
-                let text = String::from_utf8(buf.to_vec()).map_err(|_| WireError::Invalid {
-                    what: "scrape reply text",
-                })?;
-                *buf = &buf[buf.len()..];
-                Ok(ScrapeReply::Text(text))
+                let text = u8::decode_seq(buf.remaining(), buf)?;
+                String::from_utf8(text)
+                    .map(ScrapeReply::Text)
+                    .map_err(|_| WireError::Invalid {
+                        what: "scrape reply text",
+                    })
             }
         }
     }
@@ -535,13 +483,11 @@ pub fn scrape_endpoint_reply(
         let tx = transport
             .connect_retry(endpoint, timeout)
             .map_err(|e| format!("telemetry endpoint '{endpoint}': {e}"))?;
-        let mut buf = BytesMut::new();
-        ScrapeRequest {
+        let request = ScrapeRequest {
             reply_to: reply_to.clone(),
             format,
-        }
-        .encode_into(&mut buf);
-        tx.send(buf.freeze())
+        };
+        tx.send(request.to_bytes())
             .map_err(|e| format!("scrape request to '{endpoint}': {e}"))?;
         let frame = rx
             .recv_timeout(timeout)
@@ -675,8 +621,7 @@ mod tests {
     #[test]
     fn binary_snapshot_round_trips() {
         let snap = sample();
-        let mut buf = BytesMut::new();
-        snap.encode_into(&mut buf);
+        let buf = snap.to_bytes();
         let mut slice: &[u8] = &buf;
         let back = ScrapeSnapshot::decode_from(&mut slice).unwrap();
         assert_eq!(back.shard, snap.shard);

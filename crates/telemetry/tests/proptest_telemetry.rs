@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use melissa_telemetry::{HistogramSnapshot, MetricsSnapshot, Registry};
+use melissa_transport::codec::Wire;
 use proptest::prelude::*;
 
 fn histogram_from(values: &[u64]) -> HistogramSnapshot {

@@ -7,9 +7,10 @@
 
 use bytes::BytesMut;
 use melissa_telemetry::{
-    decode_events, encode_events, EventKind, HistogramSnapshot, LinkScrape, MetricsSnapshot,
-    ScrapeFormat, ScrapeReply, ScrapeRequest, ScrapeSnapshot, StudyEvent, N_BUCKETS,
+    EventKind, HistogramSnapshot, LinkScrape, MetricsSnapshot, ScrapeFormat, ScrapeReply,
+    ScrapeRequest, ScrapeSnapshot, StudyEvent, N_BUCKETS,
 };
+use melissa_transport::codec::Wire;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -257,11 +258,14 @@ fn journal_matches_its_golden_bytes() {
         .map(|(e, _)| e)
         .collect();
     let mut buf = BytesMut::new();
-    encode_events(&events, &mut buf);
+    events.encode_into(&mut buf);
     assert_eq!(hex(&buf), JOURNAL);
     let bytes = unhex(JOURNAL);
     let mut slice: &[u8] = &bytes;
-    assert_eq!(decode_events(&mut slice).expect("golden decodes"), events);
+    assert_eq!(
+        Vec::<StudyEvent>::decode_from(&mut slice).expect("golden decodes"),
+        events
+    );
     assert!(slice.is_empty());
 }
 

@@ -61,7 +61,7 @@
 //! acceptance runs (`max_concurrent_groups == 1`), whose contract is
 //! bit-identical statistics across transports.
 
-use crate::codec::{WireError, WireResult};
+use crate::codec::{Buf, BufMut, Wire, WireError, WireResult};
 
 /// Per-link wire compression mode, negotiated at connection handshake
 /// and selectable per study ([`TcpTransportConfig`]'s and `StudyConfig`'s
@@ -103,25 +103,6 @@ impl WireCompression {
         matches!(self, WireCompression::Truncate { .. })
     }
 
-    /// Handshake wire encoding: `(mode, mantissa_bits)`.
-    pub fn to_wire(self) -> (u8, u8) {
-        match self {
-            WireCompression::Off => (0, 0),
-            WireCompression::Transpose => (1, 0),
-            WireCompression::Truncate { mantissa_bits } => (2, mantissa_bits),
-        }
-    }
-
-    /// Decodes the handshake pair; unknown modes fall back to `Off`
-    /// (forward compatibility: an unknown proposal is simply declined).
-    pub fn from_wire(mode: u8, mantissa_bits: u8) -> Self {
-        match mode {
-            1 => WireCompression::Transpose,
-            2 if (1..=52).contains(&mantissa_bits) => WireCompression::Truncate { mantissa_bits },
-            _ => WireCompression::Off,
-        }
-    }
-
     /// Short human label for reports and bench ids.
     pub fn label(&self) -> String {
         match self {
@@ -129,6 +110,32 @@ impl WireCompression {
             WireCompression::Transpose => "transpose".into(),
             WireCompression::Truncate { mantissa_bits } => format!("truncate{mantissa_bits}"),
         }
+    }
+}
+
+/// Two bytes, `(mode, mantissa_bits)`: the link handshake's proposal and
+/// reply, and the `StudyConfig` field.  Unknown or malformed modes decode
+/// as `Off` (forward compatibility: an unknown proposal is simply
+/// declined).
+impl Wire for WireCompression {
+    const MIN_SIZE: usize = 2;
+
+    fn encode_into<B: BufMut>(&self, buf: &mut B) {
+        let (mode, bits) = match self {
+            WireCompression::Off => (0, 0),
+            WireCompression::Transpose => (1, 0),
+            WireCompression::Truncate { mantissa_bits } => (2, *mantissa_bits),
+        };
+        buf.put_u8(mode);
+        buf.put_u8(bits);
+    }
+
+    fn decode_from<B: Buf>(buf: &mut B) -> WireResult<Self> {
+        Ok(match <(u8, u8)>::decode_from(buf)? {
+            (1, _) => WireCompression::Transpose,
+            (2, mantissa_bits @ 1..=52) => WireCompression::Truncate { mantissa_bits },
+            _ => WireCompression::Off,
+        })
     }
 }
 
@@ -557,13 +564,16 @@ mod tests {
             WireCompression::Transpose,
             WireCompression::Truncate { mantissa_bits: 20 },
         ] {
-            let (m, b) = mode.to_wire();
-            assert_eq!(WireCompression::from_wire(m, b), mode);
+            assert_eq!(
+                WireCompression::decode_from(&mut mode.to_bytes()).unwrap(),
+                mode
+            );
         }
         // Unknown or malformed proposals are declined, not errors.
-        assert_eq!(WireCompression::from_wire(9, 0), WireCompression::Off);
-        assert_eq!(WireCompression::from_wire(2, 0), WireCompression::Off);
-        assert_eq!(WireCompression::from_wire(2, 53), WireCompression::Off);
+        let decline = |pair: [u8; 2]| WireCompression::decode_from(&mut &pair[..]).unwrap();
+        assert_eq!(decline([9, 0]), WireCompression::Off);
+        assert_eq!(decline([2, 0]), WireCompression::Off);
+        assert_eq!(decline([2, 53]), WireCompression::Off);
         assert_eq!(
             WireCompression::Truncate { mantissa_bits: 20 }.label(),
             "truncate20"

@@ -39,10 +39,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use parking_lot::Mutex;
 
-use crate::codec::{get_str, get_u32, get_u8, put_str, read_frame, write_frame};
+use crate::codec::{read_frame, write_frame, Wire};
 use crate::heartbeat::LivenessTracker;
 
 /// Environment variable seeding the deployment's directory address
@@ -59,16 +59,81 @@ const MAX_DIR_FRAME: usize = 1 << 20;
 /// Dial/request deadline against a wedged directory.
 const DIR_IO_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Request/reply op tags (wire stability).
-mod tag {
-    pub const PUBLISH: u8 = 1;
-    pub const RESOLVE: u8 = 2;
-    pub const UNPUBLISH: u8 = 3;
-    pub const RENEW: u8 = 4;
-    pub const LIST: u8 = 5;
-    pub const OK: u8 = 0;
-    pub const NOT_FOUND: u8 = 1;
+/// One directory request frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DirRequest {
+    /// Map `name` to `addr`, starting (or renewing) its lease.
+    Publish {
+        /// Endpoint name.
+        name: String,
+        /// `host:port` it is served on.
+        addr: String,
+    },
+    /// Look `name` up.
+    Resolve {
+        /// Endpoint name.
+        name: String,
+    },
+    /// Drop `name`.
+    Unpublish {
+        /// Endpoint name.
+        name: String,
+    },
+    /// Lease heartbeat: re-publish every `(name, addr)` the client owns.
+    Renew {
+        /// The client's published entries.
+        entries: Vec<(String, String)>,
+    },
+    /// Every live entry, for diagnostics.
+    List,
 }
+
+crate::wire_enum!(DirRequest {
+    1 => Publish { name, addr },
+    2 => Resolve { name },
+    3 => Unpublish { name },
+    4 => Renew { entries },
+    5 => List,
+});
+
+/// Reply to [`DirRequest::Publish`], [`DirRequest::Unpublish`] and
+/// [`DirRequest::Renew`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DirAck {
+    /// Applied.
+    Ok,
+}
+
+crate::wire_enum!(DirAck { 0 => Ok });
+
+/// Reply to [`DirRequest::Resolve`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DirResolved {
+    /// The name is live at `addr`.
+    Found {
+        /// `host:port` the endpoint is served on.
+        addr: String,
+    },
+    /// Never published, unpublished, or its lease lapsed.
+    NotFound,
+}
+
+crate::wire_enum!(DirResolved {
+    0 => Found { addr },
+    1 => NotFound,
+});
+
+/// Reply to [`DirRequest::List`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DirListing {
+    /// Every live `(name, addr)` entry, in no particular order.
+    Entries {
+        /// The live entries.
+        entries: Vec<(String, String)>,
+    },
+}
+
+crate::wire_enum!(DirListing { 0 => Entries { entries } });
 
 /// Directory operation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -326,53 +391,32 @@ fn serve_directory_client(mut stream: TcpStream, state: Arc<DirState>) {
 }
 
 /// Decodes and applies one request, returning the reply frame.
-fn handle_request(req: &[u8], state: &DirState) -> Option<Vec<u8>> {
-    let mut buf = Bytes::copy_from_slice(req);
-    let op = get_u8(&mut buf, "dir op").ok()?;
-    let mut reply = BytesMut::new();
-    match op {
-        tag::PUBLISH => {
-            let name = get_str(&mut buf, "name").ok()?;
-            let addr = get_str(&mut buf, "addr").ok()?;
+fn handle_request(mut req: &[u8], state: &DirState) -> Option<Bytes> {
+    Some(match DirRequest::decode_from(&mut req).ok()? {
+        DirRequest::Publish { name, addr } => {
             state.publish(name, addr);
-            reply.put_u8(tag::OK);
+            DirAck::Ok.to_bytes()
         }
-        tag::RESOLVE => {
-            let name = get_str(&mut buf, "name").ok()?;
-            match state.resolve(&name) {
-                Some(addr) => {
-                    reply.put_u8(tag::OK);
-                    put_str(&mut reply, &addr);
-                }
-                None => reply.put_u8(tag::NOT_FOUND),
-            }
+        DirRequest::Resolve { name } => match state.resolve(&name) {
+            Some(addr) => DirResolved::Found { addr },
+            None => DirResolved::NotFound,
         }
-        tag::UNPUBLISH => {
-            let name = get_str(&mut buf, "name").ok()?;
+        .to_bytes(),
+        DirRequest::Unpublish { name } => {
             state.unpublish(&name);
-            reply.put_u8(tag::OK);
+            DirAck::Ok.to_bytes()
         }
-        tag::RENEW => {
-            let n = get_u32(&mut buf, "count").ok()?;
-            for _ in 0..n {
-                let name = get_str(&mut buf, "name").ok()?;
-                let addr = get_str(&mut buf, "addr").ok()?;
+        DirRequest::Renew { entries } => {
+            for (name, addr) in entries {
                 state.publish(name, addr);
             }
-            reply.put_u8(tag::OK);
+            DirAck::Ok.to_bytes()
         }
-        tag::LIST => {
-            let entries = state.live_entries();
-            reply.put_u8(tag::OK);
-            reply.put_u32_le(entries.len() as u32);
-            for (n, a) in entries {
-                put_str(&mut reply, &n);
-                put_str(&mut reply, &a);
-            }
+        DirRequest::List => DirListing::Entries {
+            entries: state.live_entries(),
         }
-        _ => return None,
-    }
-    Some(reply.to_vec())
+        .to_bytes(),
+    })
 }
 
 /// Remote [`Directory`] handle over one persistent TCP connection,
@@ -457,33 +501,19 @@ impl DirectoryClient {
         unreachable!("two attempts always return")
     }
 
-    fn expect_ok(&self, reply: Bytes, what: &'static str) -> Result<(), DirectoryError> {
-        let mut buf = reply;
-        match get_u8(&mut buf, what) {
-            Ok(tag::OK) => Ok(()),
-            _ => Err(DirectoryError::Protocol {
-                detail: format!("unexpected {what} reply"),
-            }),
-        }
+    /// One typed request/reply round.
+    fn call<R: Wire>(&self, req: &DirRequest) -> Result<R, DirectoryError> {
+        let reply = self.request(&req.to_bytes())?;
+        R::decode_from(&mut &reply[..]).map_err(|e| DirectoryError::Protocol {
+            detail: e.to_string(),
+        })
     }
 
     /// Lists every live entry (sorted), for diagnostics.
     pub fn list(&self) -> Result<Vec<(String, String)>, DirectoryError> {
-        let reply = self.request(&[tag::LIST])?;
-        let mut buf = reply;
-        let proto = |detail: String| DirectoryError::Protocol { detail };
-        if get_u8(&mut buf, "list status").map_err(|e| proto(e.to_string()))? != tag::OK {
-            return Err(proto("list rejected".into()));
-        }
-        let n = get_u32(&mut buf, "list count").map_err(|e| proto(e.to_string()))?;
-        let mut out = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let name = get_str(&mut buf, "name").map_err(|e| proto(e.to_string()))?;
-            let addr = get_str(&mut buf, "addr").map_err(|e| proto(e.to_string()))?;
-            out.push((name, addr));
-        }
-        out.sort();
-        Ok(out)
+        let DirListing::Entries { mut entries } = self.call(&DirRequest::List)?;
+        entries.sort();
+        Ok(entries)
     }
 }
 
@@ -492,59 +522,37 @@ impl Directory for DirectoryClient {
         self.published
             .lock()
             .insert(name.to_string(), addr.to_string());
-        let mut req = BytesMut::new();
-        req.put_u8(tag::PUBLISH);
-        put_str(&mut req, name);
-        put_str(&mut req, addr);
-        let reply = self.request(&req)?;
-        self.expect_ok(reply, "publish")
+        let DirAck::Ok = self.call(&DirRequest::Publish {
+            name: name.to_string(),
+            addr: addr.to_string(),
+        })?;
+        Ok(())
     }
 
     fn resolve(&self, name: &str) -> Result<Option<String>, DirectoryError> {
-        let mut req = BytesMut::new();
-        req.put_u8(tag::RESOLVE);
-        put_str(&mut req, name);
-        let reply = self.request(&req)?;
-        let mut buf = reply;
-        match get_u8(&mut buf, "resolve status") {
-            Ok(tag::OK) => {
-                let addr = get_str(&mut buf, "addr").map_err(|e| DirectoryError::Protocol {
-                    detail: e.to_string(),
-                })?;
-                Ok(Some(addr))
-            }
-            Ok(tag::NOT_FOUND) => Ok(None),
-            _ => Err(DirectoryError::Protocol {
-                detail: "unexpected resolve reply".into(),
-            }),
-        }
+        let name = name.to_string();
+        Ok(match self.call(&DirRequest::Resolve { name })? {
+            DirResolved::Found { addr } => Some(addr),
+            DirResolved::NotFound => None,
+        })
     }
 
     fn unpublish(&self, name: &str) -> Result<(), DirectoryError> {
         self.published.lock().remove(name);
-        let mut req = BytesMut::new();
-        req.put_u8(tag::UNPUBLISH);
-        put_str(&mut req, name);
-        let reply = self.request(&req)?;
-        self.expect_ok(reply, "unpublish")
+        let name = name.to_string();
+        let DirAck::Ok = self.call(&DirRequest::Unpublish { name })?;
+        Ok(())
     }
 
     fn renew(&self) -> Result<(), DirectoryError> {
-        let entries: Vec<(String, String)> = self
+        let entries = self
             .published
             .lock()
             .iter()
             .map(|(n, a)| (n.clone(), a.clone()))
             .collect();
-        let mut req = BytesMut::new();
-        req.put_u8(tag::RENEW);
-        req.put_u32_le(entries.len() as u32);
-        for (n, a) in &entries {
-            put_str(&mut req, n);
-            put_str(&mut req, a);
-        }
-        let reply = self.request(&req)?;
-        self.expect_ok(reply, "renew")
+        let DirAck::Ok = self.call(&DirRequest::Renew { entries })?;
+        Ok(())
     }
 
     fn location(&self) -> String {
@@ -870,5 +878,23 @@ mod tests {
         );
         assert_eq!(names::daemon_ctl(), "ctl/daemon");
         assert_eq!(names::daemon_telemetry(), "telemetry/daemon");
+    }
+
+    #[test]
+    fn list_reply_with_hostile_count_is_a_protocol_error() {
+        // A fake directory answering LIST with OK and a u32::MAX count.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let fake = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            read_frame(&mut stream, MAX_DIR_FRAME).unwrap();
+            write_frame(&mut stream, &[0, 0xff, 0xff, 0xff, 0xff]).unwrap();
+        });
+        let client = DirectoryClient::connect(&addr).unwrap();
+        assert!(matches!(
+            client.list(),
+            Err(DirectoryError::Protocol { .. })
+        ));
+        fake.join().unwrap();
     }
 }

@@ -9,9 +9,10 @@
 //! * **Wire framing** — every frame crosses the socket as a little-endian
 //!   `u32` length prefix followed by the payload bytes (the payload itself
 //!   is already a [`codec`](crate::codec)-encoded protocol message).  The
-//!   connection handshake reuses the codec helpers: the client sends one
-//!   frame containing `put_str(endpoint name)`, its 64-bit **link id**
-//!   and its **wire-compression proposal** (two bytes); the acceptor
+//!   connection handshake reuses the codec's scalar layouts: the client
+//!   sends one frame containing the endpoint name (a `u32`-length-prefixed
+//!   string), its 64-bit **link id** and its **wire-compression
+//!   proposal** (two bytes); the acceptor
 //!   replies with one frame containing a status byte (`0` = bound,
 //!   `1` = not found), the endpoint's high-water mark as a `u32`, the
 //!   link's **resume cursor** (see below) and the compression mode it
@@ -102,7 +103,7 @@ use crate::api::{
     BoxReceiver, BoxSender, ConnectError, Disconnected, FlushError, LinkStatsSnapshot,
     SendTimeoutError, Sender, Transport,
 };
-use crate::codec::{get_str, get_u32, get_u64, get_u8, put_str, read_frame, write_frame};
+use crate::codec::{encode_str, read_frame, write_frame, Wire};
 use crate::compress::{compress_payload, decompress_payload, WireCompression};
 use crate::directory::{Directory, DirectoryClient, LocalDirectory};
 use crate::endpoint::{channel, Frame, HwmSender, LinkStats};
@@ -796,11 +797,11 @@ fn serve_connection(mut stream: TcpStream, inner: Arc<TcpInner>) {
         _ => return,
     };
     let mut buf = Bytes::from(hello);
-    let name = match get_str(&mut buf, "endpoint name") {
+    let name = match String::decode_from(&mut buf) {
         Ok(n) => n,
         Err(_) => return,
     };
-    let link_id = match get_u64(&mut buf, "link id") {
+    let link_id = match u64::decode_from(&mut buf) {
         Ok(id) => id,
         Err(_) => return,
     };
@@ -809,10 +810,7 @@ fn serve_connection(mut stream: TcpStream, inner: Arc<TcpInner>) {
     // negotiate `Off`).  This build understands every mode — compressed
     // frames are self-describing via the length-prefix flag bit — so the
     // acceptor accepts whatever was proposed and echoes it back.
-    let accepted = match (get_u8(&mut buf, "mode"), get_u8(&mut buf, "bits")) {
-        (Ok(mode), Ok(bits)) => WireCompression::from_wire(mode, bits),
-        _ => WireCompression::Off,
-    };
+    let accepted = WireCompression::decode_from(&mut buf).unwrap_or(WireCompression::Off);
 
     let (ingest, hwm, slot) = {
         let endpoints = inner.endpoints.lock();
@@ -856,13 +854,11 @@ fn serve_connection(mut stream: TcpStream, inner: Arc<TcpInner>) {
         }
     };
     let resume = *slot.ingested.lock();
-    let (mode, bits) = accepted.to_wire();
     let mut reply = BytesMut::with_capacity(15);
     reply.put_u8(STATUS_OK);
     reply.put_u32_le(hwm);
     reply.put_u64_le(resume);
-    reply.put_u8(mode);
-    reply.put_u8(bits);
+    accepted.encode_into(&mut reply);
     if write_frame(&mut stream, &reply).is_err() || stream.set_read_timeout(None).is_err() {
         retire(&slot);
         return;
@@ -984,11 +980,9 @@ fn dial_handshake(
         .map_err(|e| io_err(e.to_string()))?;
 
     let mut hello = BytesMut::new();
-    put_str(&mut hello, name);
+    encode_str(name, &mut hello);
     hello.put_u64_le(link_id);
-    let (mode, bits) = proposed.to_wire();
-    hello.put_u8(mode);
-    hello.put_u8(bits);
+    proposed.encode_into(&mut hello);
     write_frame(&mut stream, &hello).map_err(|e| io_err(e.to_string()))?;
     let reply =
         match read_frame(&mut stream, MAX_HANDSHAKE_FRAME).map_err(|e| io_err(e.to_string()))? {
@@ -996,18 +990,15 @@ fn dial_handshake(
             None => return Err(io_err("acceptor closed during handshake".into())),
         };
     let mut buf = Bytes::from(reply);
-    let status = get_u8(&mut buf, "handshake status").map_err(|e| io_err(e.to_string()))?;
+    let status = u8::decode_from(&mut buf).map_err(|e| io_err(e.to_string()))?;
     if status != STATUS_OK {
         return Err(DialError::NotFound);
     }
-    let hwm = get_u32(&mut buf, "handshake hwm").map_err(|e| io_err(e.to_string()))? as usize;
-    let resume = get_u64(&mut buf, "resume cursor").map_err(|e| io_err(e.to_string()))?;
+    let hwm = u32::decode_from(&mut buf).map_err(|e| io_err(e.to_string()))? as usize;
+    let resume = u64::decode_from(&mut buf).map_err(|e| io_err(e.to_string()))?;
     // An acceptor that does not echo a mode (pre-compression reply)
     // declined the proposal: the link runs uncompressed.
-    let accepted = match (get_u8(&mut buf, "mode"), get_u8(&mut buf, "bits")) {
-        (Ok(mode), Ok(bits)) => WireCompression::from_wire(mode, bits),
-        _ => WireCompression::Off,
-    };
+    let accepted = WireCompression::decode_from(&mut buf).unwrap_or(WireCompression::Off);
     stream
         .set_read_timeout(None)
         .map_err(|e| io_err(e.to_string()))?;
