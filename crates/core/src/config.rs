@@ -133,18 +133,45 @@ pub struct StudyConfig {
 // (every knob, so a hosted study runs exactly what the tenant submitted).
 // `UseCaseConfig`'s fields are listed inline: the solver crate has no
 // codec dependency.
-melissa_transport::wire_struct! {
-    StudyConfig {
-        n_groups, transport, n_shards, shard_seed,
-        solver: UseCaseConfig {
-            nx, ny, nz, lx, ly, lz, u_inlet, diffusivity, n_timesteps, total_time, prerun_tol,
-        },
-        ranks_per_simulation, server_workers, hwm, max_concurrent_groups, seed,
-        group_timeout, server_timeout, checkpoint_interval, checkpoint_dir, max_group_retries,
-        target_ci_width, ci_variance_floor, target_quantile_step, wall_limit, migration_timeout,
-        wire_compression, link_fault, thresholds, quantile_probs, telemetry,
-    }
-}
+melissa_transport::wire_struct!(StudyConfig {
+    n_groups,
+    transport,
+    n_shards,
+    shard_seed,
+    solver: UseCaseConfig {
+        nx,
+        ny,
+        nz,
+        lx,
+        ly,
+        lz,
+        u_inlet,
+        diffusivity,
+        n_timesteps,
+        total_time,
+        prerun_tol,
+    },
+    ranks_per_simulation,
+    server_workers,
+    hwm,
+    max_concurrent_groups,
+    seed,
+    group_timeout,
+    server_timeout,
+    checkpoint_interval,
+    checkpoint_dir,
+    max_group_retries,
+    target_ci_width,
+    ci_variance_floor,
+    target_quantile_step,
+    wall_limit,
+    migration_timeout,
+    wire_compression,
+    link_fault,
+    thresholds,
+    quantile_probs,
+    telemetry,
+});
 
 impl Default for StudyConfig {
     fn default() -> Self {

@@ -127,8 +127,13 @@ melissa_transport::wire_enum!(Message {
     4 => Heartbeat { sender },
     5 => ServerReady,
     6 => ServerReport {
-        finished_groups, running_groups, max_ci_width, max_quantile_step, quantile_steps,
-        blocked_sends, blocked_nanos,
+        finished_groups,
+        running_groups,
+        max_ci_width,
+        max_quantile_step,
+        quantile_steps,
+        blocked_sends,
+        blocked_nanos,
     },
     7 => GroupTimeout { group_id },
     8 => Checkpoint { dir },
@@ -159,15 +164,9 @@ impl Message {
         }
     }
 
-    /// Decodes a frame.
-    ///
-    /// `Data.values` is decoded through the copy-lean bulk path of
-    /// `f64`'s [`Wire::decode_seq`]: one contiguous sweep over the
-    /// payload rather than a cursor round-trip per value.  The values
-    /// cannot *borrow* the frame outright — they are owned `Vec<f64>`
-    /// state handed to the assembly buffers, and the payload's byte
-    /// offset inside the frame makes 8-byte alignment a coin flip — so
-    /// one bulk copy is the minimum.
+    /// Decodes a frame; `Data.values` takes the bulk path of `f64`'s
+    /// [`Wire::decode_seq`] (one contiguous copy, not a cursor round-trip
+    /// per value).
     pub fn decode(frame: &Bytes) -> WireResult<Message> {
         Message::decode_from(&mut frame.clone())
     }

@@ -47,7 +47,6 @@ use bytes::BufMut;
 use melissa_mesh::CellRange;
 use melissa_sobol::UbiquitousSobol;
 use melissa_stats::{FieldMinMax, FieldMoments, FieldQuantiles, FieldThreshold};
-
 use melissa_transport::codec::{encode_slice, ensure_room, Wire, WireError};
 
 use super::state::WorkerState;
@@ -221,20 +220,6 @@ fn expect_len(buf: &mut &[u8], expected: usize, what: &'static str) -> Result<()
     Ok(())
 }
 
-/// Reads `K` consecutive `f64` arrays of `len` values each (the arrays a
-/// single section length covers).
-fn f64_arrays<const K: usize>(
-    buf: &mut &[u8],
-    len: usize,
-    what: &'static str,
-) -> Result<[Vec<f64>; K], CheckpointError> {
-    let mut arrays: [Vec<f64>; K] = std::array::from_fn(|_| Vec::new());
-    for a in &mut arrays {
-        *a = f64::decode_seq(len, buf).map_err(corrupt(what))?;
-    }
-    Ok(arrays)
-}
-
 /// Unpacks a checkpoint byte buffer produced by [`pack_state`] (or read
 /// from a v2/v3 checkpoint file) into a [`WorkerState`] for worker
 /// `worker_id`.
@@ -284,7 +269,8 @@ pub fn unpack_state(bytes: &[u8], worker_id: usize) -> Result<WorkerState, Check
     for _ in 0..n_timesteps {
         let n = u64::decode_from(buf).map_err(corrupt("moments header"))?;
         expect_len(buf, slab.len, "moments length")?;
-        let [mean, m2, m3, m4] = f64_arrays(buf, slab.len, "moments payload")?;
+        let mut array = || f64::decode_seq(slab.len, buf).map_err(corrupt("moments payload"));
+        let (mean, m2, m3, m4) = (array()?, array()?, array()?, array()?);
         moments.push(FieldMoments::from_raw_state(n, mean, m2, m3, m4));
     }
 
@@ -292,7 +278,8 @@ pub fn unpack_state(bytes: &[u8], worker_id: usize) -> Result<WorkerState, Check
     for _ in 0..n_timesteps {
         let n = u64::decode_from(buf).map_err(corrupt("minmax header"))?;
         expect_len(buf, slab.len, "minmax length")?;
-        let [mn, mx] = f64_arrays(buf, slab.len, "minmax payload")?;
+        let mut array = || f64::decode_seq(slab.len, buf).map_err(corrupt("minmax payload"));
+        let (mn, mx) = (array()?, array()?);
         minmax.push(FieldMinMax::from_raw_state(n, mn, mx));
     }
 

@@ -110,9 +110,7 @@ melissa_transport::wire_enum!(DaemonOp {
     5 => Shutdown,
 });
 
-melissa_transport::wire_struct! {
-    DaemonRequest { reply_to, op }
-}
+melissa_transport::wire_struct!(DaemonRequest { reply_to, op });
 
 /// One control-plane reply frame.
 #[derive(Debug, Clone, PartialEq)]

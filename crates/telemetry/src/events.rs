@@ -277,9 +277,12 @@ impl StudyEvent {
 }
 
 // A journal travels as `Vec<StudyEvent>`: a `u32` count, then the events.
-melissa_transport::wire_struct! {
-    StudyEvent { seq, at_nanos, shard, kind }
-}
+melissa_transport::wire_struct!(StudyEvent {
+    seq,
+    at_nanos,
+    shard,
+    kind
+});
 
 #[cfg(test)]
 mod tests {

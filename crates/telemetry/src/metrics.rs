@@ -296,9 +296,11 @@ impl MetricsSnapshot {
     }
 }
 
-melissa_transport::wire_struct! {
-    MetricsSnapshot { counters, gauges, histograms }
-}
+melissa_transport::wire_struct!(MetricsSnapshot {
+    counters,
+    gauges,
+    histograms
+});
 
 /// The sum, then exactly [`N_BUCKETS`] bucket counts (no length prefix:
 /// the bucket count is fixed).

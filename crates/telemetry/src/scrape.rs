@@ -99,9 +99,14 @@ pub struct LinkScrape {
     pub blocked_nanos: u64,
 }
 
-melissa_transport::wire_struct! {
-    LinkScrape { endpoint, messages, bytes, wire_bytes, blocked_sends, blocked_nanos }
-}
+melissa_transport::wire_struct!(LinkScrape {
+    endpoint,
+    messages,
+    bytes,
+    wire_bytes,
+    blocked_sends,
+    blocked_nanos
+});
 
 impl LinkScrape {
     /// Wraps a transport rollup entry.
@@ -147,12 +152,20 @@ pub struct ScrapeSnapshot {
     pub events: Vec<StudyEvent>,
 }
 
-melissa_transport::wire_struct! {
-    ScrapeSnapshot {
-        shard, backend, uptime_nanos, groups_finished, groups_running, max_ci_width,
-        max_quantile_step, routing_epoch, reconnects, links, metrics, events,
-    }
-}
+melissa_transport::wire_struct!(ScrapeSnapshot {
+    shard,
+    backend,
+    uptime_nanos,
+    groups_finished,
+    groups_running,
+    max_ci_width,
+    max_quantile_step,
+    routing_epoch,
+    reconnects,
+    links,
+    metrics,
+    events,
+});
 
 impl ScrapeSnapshot {
     /// Renders the snapshot as a JSON object (hand-rolled: no serde in

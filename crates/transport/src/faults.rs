@@ -51,9 +51,10 @@ pub struct FaultPolicy {
     pub delay: Duration,
 }
 
-crate::wire_struct! {
-    FaultPolicy { drop_probability, delay }
-}
+crate::wire_struct!(FaultPolicy {
+    drop_probability,
+    delay
+});
 
 /// A [`Sender`] wrapper that injects faults per a [`FaultPolicy`] and
 /// dies when its [`KillSwitch`] flips.  Works over any backend.

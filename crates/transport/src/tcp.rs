@@ -797,13 +797,8 @@ fn serve_connection(mut stream: TcpStream, inner: Arc<TcpInner>) {
         _ => return,
     };
     let mut buf = Bytes::from(hello);
-    let name = match String::decode_from(&mut buf) {
-        Ok(n) => n,
-        Err(_) => return,
-    };
-    let link_id = match u64::decode_from(&mut buf) {
-        Ok(id) => id,
-        Err(_) => return,
+    let Ok((name, link_id)) = <(String, u64)>::decode_from(&mut buf) else {
+        return;
     };
     // Wire-compression negotiation: the client's proposal rides two
     // trailing hello bytes (absent in pre-compression hellos, which thus
