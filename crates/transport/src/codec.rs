@@ -18,8 +18,8 @@
 //! * `Vec<T>` is a length prefix, then the elements.  The prefix width
 //!   belongs to the element type ([`Wire::WIDE_LEN`]): `u64` for `f64`,
 //!   `u64` and `u8` sequences, `u32` for everything else;
-//! * a struct is its fields in declaration order, an enum a `u8` tag
-//!   followed by the variant's fields.
+//! * a struct is its fields in the order its `wire_struct!` lists them,
+//!   an enum a `u8` tag followed by the variant's listed fields.
 //!
 //! Decoding never panics and never trusts a length: every read checks the
 //! remaining input first, and a sequence is refused with
