@@ -580,12 +580,16 @@ pub(crate) fn supervise_shard(
                             last_ci = max_ci_width;
                             last_quantile_step = max_quantile_step;
                             last_quantile_steps = quantile_steps;
-                            ctx.coord.publish(
-                                shard,
-                                last_ci,
-                                last_quantile_step,
-                                known_finished.len(),
-                            );
+                            // A supervisor owning no groups (a joiner
+                            // before its handoff, a drained source) keeps
+                            // its signal neutral: its idle server reports
+                            // an infinite CI that would pin the aggregate.
+                            let (ci, qstep) = if my_groups.is_empty() {
+                                (0.0, 0.0)
+                            } else {
+                                (last_ci, last_quantile_step)
+                            };
+                            ctx.coord.publish(shard, ci, qstep, known_finished.len());
                             // Live backpressure accounting (the Fig. 6
                             // signal): keeps the report current mid-study
                             // and across server crashes; the final stop

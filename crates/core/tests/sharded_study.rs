@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use melissa::server::state::WorkerState;
 use melissa::shard::{reduce_worker_states, GroupRouter};
-use melissa::{FaultPlan, Study, StudyConfig, StudyOutput};
+use melissa::{FaultPlan, Migration, MigrationMoves, ShardKill, Study, StudyConfig, StudyOutput};
 use melissa_mesh::CellRange;
 use proptest::prelude::*;
 
@@ -418,4 +418,61 @@ proptest! {
             prop_assert_eq!(got.quantiles(ts), reference.quantiles(ts));
         }
     }
+}
+
+/// Runs a 2-shard study with a reachable CI target whose scripted
+/// migration (shard 0 → `migrate_to`) and permanent kill (shard 1,
+/// re-homed to shard 0) both trigger past the study's group count, so
+/// neither ever fires.  The handoff targets only settle because the
+/// early-stopped sources still deliver their envelopes, empty.
+fn early_stop_with_unfired_script(migrate_to: usize, tag: &str) {
+    let mut config = shard_config(2, tag);
+    config.n_groups = 16;
+    config.max_concurrent_groups = 2;
+    // Loose enough that each shard's CI over its first few groups meets
+    // it, so the study stops well before either shard runs out of groups.
+    config.target_ci_width = Some(1e3);
+    config.ci_variance_floor = 1e-4;
+    config.wall_limit = Duration::from_secs(120);
+    let never = config.n_groups;
+    let faults = FaultPlan::none()
+        .with_migration(Migration {
+            from: 0,
+            to: migrate_to,
+            after_finished_groups: never,
+            moves: MigrationMoves::AllUnfinished,
+        })
+        .with_shard_kill(ShardKill {
+            shard: 1,
+            after_finished_groups: never,
+            permanent: true,
+            rehome_to: Some(0),
+        });
+    let out = run(config, faults);
+    assert!(
+        out.report.early_stopped,
+        "expected the CI target to stop the study"
+    );
+    assert_eq!(
+        out.report.groups_migrated, 0,
+        "the scripted fence never fires"
+    );
+    assert_eq!(
+        out.report.shards_rehomed, 0,
+        "the scripted death never fires"
+    );
+}
+
+#[test]
+fn early_stop_delivers_the_unfired_script_handoffs() {
+    early_stop_with_unfired_script(1, "early-stop-peer");
+}
+
+/// The same script with the migration aimed at a joiner slot (one beyond
+/// the configured shards).  The joiner owns no groups, so it must keep
+/// its convergence signal neutral while its idle server reports an
+/// infinite CI, or the aggregate never converges.
+#[test]
+fn early_stop_delivers_the_unfired_script_handoffs_to_a_joiner() {
+    early_stop_with_unfired_script(2, "early-stop-joiner");
 }
