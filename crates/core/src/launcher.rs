@@ -19,14 +19,18 @@
 //! * **convergence loopback** — optional early stop once the widest
 //!   confidence interval falls below the target (Section 4.1.5).
 //!
-//! The supervision machinery is factored per *shard*: [`run_study`] runs
-//! one supervisor over one server instance for the classic single-server
-//! study, while the sharded runner ([`crate::shard`]) runs one supervisor
-//! per server instance, all sharing the batch runner (the global node
+//! The supervision machinery is factored per *shard*: [`run_study_in`] runs
+//! one `ShardSupervisor` over one server instance for the classic
+//! single-server study, while the sharded runner ([`crate::shard`]) runs
+//! one per server instance, all sharing the batch runner (the global node
 //! budget), the study clock and the convergence coordination.  Each
 //! supervisor owns its shard's failover completely — including the
 //! checkpoint-restore server recovery — so a shard failure never stalls
-//! the other shards.
+//! the other shards.  A supervisor runs one method per phase of its tick
+//! (inbox, handoffs, migrations, kills, server recovery, job
+//! reconciliation, convergence, completion), and every way out of it —
+//! success, re-homing, cancellation, wall limit or error — passes through
+//! one teardown that stops its jobs and its server.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -39,19 +43,19 @@ use melissa_solver::FrozenFlow;
 use melissa_telemetry::{EventKind, Telemetry};
 use melissa_transport::directory::names;
 use melissa_transport::{
-    make_transport_with, KillSwitch, LivenessTracker, LoadMonitor, Receiver, RecvTimeoutError,
-    Transport,
+    make_transport_with, BoxReceiver, BoxSender, KillSwitch, LinkStatsSnapshot, LivenessTracker,
+    LoadMonitor, Receiver, RecvTimeoutError, Transport,
 };
 use parking_lot::Mutex;
 
 use crate::config::StudyConfig;
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, Migration, MigrationMoves, ShardKill};
 use crate::group::{run_group, GroupContext, GroupOutcome};
 use crate::protocol::Message;
 use crate::report::StudyReport;
 use crate::server::checkpoint::read_checkpoint;
 use crate::server::state::WorkerState;
-use crate::server::{Server, ServerConfig};
+use crate::server::{Server, ServerConfig, ServerShared};
 use crate::shard::{GroupRouter, RoutingTable};
 use crate::study::{StudyOutput, StudyResults};
 use melissa_mesh::SlabPartition;
@@ -61,7 +65,7 @@ use melissa_scheduler::{Dispatcher, JobRunner};
 ///
 /// The defaults reproduce the standalone launcher exactly: a fresh
 /// transport built from [`StudyConfig::transport`], a private
-/// ticket-FIFO [`JobRunner`] sized to
+/// [`JobRunner`] (a one-tenant fair-runner stream, FIFO) sized to
 /// [`StudyConfig::max_concurrent_groups`], the flat endpoint namespace
 /// and no external cancellation.  A multi-tenant service overrides all
 /// four — the shared transport, a per-study [`Dispatcher`] slice of the
@@ -89,6 +93,9 @@ pub struct StudyRuntime {
 struct ActiveJob {
     handle: melissa_scheduler::JobHandle,
     instance: u32,
+    /// Submission time: the job's age in a wall-limit error.
+    submitted_at: Instant,
+    /// Zombie clock: held at the current time while the job is queued.
     started_at: Instant,
 }
 
@@ -311,35 +318,11 @@ pub(crate) struct ShardRun {
     pub report: StudyReport,
 }
 
-/// Runs a complete study under the launcher's supervision.
-pub fn run_study(config: StudyConfig, faults: FaultPlan) -> Result<StudyOutput, String> {
-    run_study_on(config, faults, None)
-}
-
-/// [`run_study`] over a caller-provided transport.  Passing the transport
-/// in lets a live scraper (e.g. `examples/melissa_top.rs`) connect to the
-/// study's `telemetry/shard<k>` endpoints while it runs; `None` builds
-/// one from [`StudyConfig::transport`].
-pub fn run_study_on(
-    config: StudyConfig,
-    faults: FaultPlan,
-    transport: Option<Arc<dyn Transport>>,
-) -> Result<StudyOutput, String> {
-    run_study_in(
-        config,
-        faults,
-        StudyRuntime {
-            transport,
-            ..StudyRuntime::default()
-        },
-    )
-}
-
-/// [`run_study`] inside a caller-built [`StudyRuntime`]: shared
-/// transport, injected dispatcher, outer endpoint scope and external
-/// cancellation.  This is the entry point the multi-tenant daemon uses
-/// to run many isolated studies over one node pool; with the default
-/// runtime it is exactly [`run_study`].
+/// Runs a complete study under the launcher's supervision, inside a
+/// caller-built [`StudyRuntime`]: shared transport, injected dispatcher,
+/// outer endpoint scope and external cancellation.  The default runtime
+/// is the standalone launcher; the multi-tenant daemon overrides it to
+/// run many isolated studies over one node pool.
 pub fn run_study_in(
     config: StudyConfig,
     faults: FaultPlan,
@@ -352,8 +335,7 @@ pub fn run_study_in(
     }
     let ctx = StudyContext::new_in(config, faults, rt);
     let groups: Vec<u64> = (0..ctx.config.n_groups as u64).collect();
-    let scope = ctx.outer.clone();
-    let run = supervise_shard(&ctx, 0, &scope, &groups)?;
+    let run = ShardSupervisor::run(&ctx, 0, &ctx.outer, &groups)?;
 
     let mut report = run.report;
     report.wall_time = ctx.started.elapsed();
@@ -366,978 +348,978 @@ pub fn run_study_in(
     Ok(StudyOutput { results, report })
 }
 
-/// Supervises one server instance (shard) over its group subset to
-/// completion: submission, failure handling, checkpoint-restore failover
-/// and the convergence loopback.  This is the single-server launcher loop
-/// of the paper, parameterised by endpoint scope so `N` of them can run
-/// against one transport.
-pub(crate) fn supervise_shard(
-    ctx: &StudyContext,
-    shard: usize,
-    scope: &str,
-    groups: &[u64],
-) -> Result<ShardRun, String> {
-    let config = &ctx.config;
-    let wall_limit = config.wall_limit;
-    let transport = &ctx.transport;
-    let launcher_rx = transport.bind(&names::launcher_in(scope), 1024);
+/// How a supervision loop ended without error.
+enum Exit {
+    /// Every owned group settled, or the study stopped early.
+    Settled,
+    /// A scripted permanent death: the shard re-homes to this slot.
+    Rehome(usize),
+}
 
-    let mut report = StudyReport::new(config.n_groups);
-    report.n_shards = config.n_shards;
-    // Stamp journal events against the shared study clock, tagged with
-    // this supervisor's slot, so per-shard journals merge on one axis.
-    report.origin = ctx.started;
-    report.shard = shard as u32;
-    if shard >= config.n_shards {
-        // A joiner slot: no groups at launch, everything arrives by
-        // handoff (elastic scale-out).
-        report.shards_joined = 1;
+/// Supervises one server instance (shard) over its group subset to
+/// completion: the paper's launcher loop, run `N` times for `N` shards.
+/// Each tick runs the phases in order: (1) drain the launcher inbox,
+/// (1.5) adopt inbound handoffs, (2) run scripted migrations, (2.5) run
+/// scripted kills, a permanent one taking the re-home exit, (3) recover a
+/// dead server, (4) reconcile job states, (5) check convergence and (6)
+/// test for completion.  Every exit — settled, re-homed, cancelled, out of
+/// wall clock or failed — goes through [`finish`](Self::finish), which
+/// stops every job and the server.
+pub(crate) struct ShardSupervisor<'a> {
+    ctx: &'a StudyContext,
+    shard: usize,
+    server_config: ServerConfig,
+    launcher_rx: BoxReceiver,
+    launcher_tx: BoxSender,
+    /// The live server (taken only by a restart and by the teardown).
+    server: Option<Server>,
+    server_liveness: LivenessTracker<u32>,
+    /// Load-aware supervision (the congestion-collapse fix): the loop's
+    /// own timed waits measure how starved this process is, and both
+    /// failure detectors (heartbeat, zombie check) stretch by that factor.
+    load: LoadMonitor,
+    outcomes: Arc<Mutex<HashMap<(u64, u32), GroupOutcome>>>,
+    active: HashMap<u64, ActiveJob>,
+    known_finished: HashSet<u64>,
+    known_running: HashSet<u64>,
+    /// Latest instance number of every resubmitted group.
+    retries: HashMap<u64, u32>,
+    abandoned: HashSet<u64>,
+    /// Live ownership: shrinks when a fence migrates groups away, grows
+    /// when a handoff arrives.
+    owned: HashSet<u64>,
+    /// Floors adopted from inbound handoffs, remembered so a later
+    /// permanent death hands off at least these floors even if the local
+    /// checkpoint predates the adoption.
+    adopted_floors: HashMap<u64, Vec<i64>>,
+    /// Scripted chaos, each a sorted queue consumed by trigger.
+    kills: Vec<ShardKill>,
+    kill_idx: usize,
+    migrations: Vec<Migration>,
+    mig_idx: usize,
+    expected_handoffs: usize,
+    handoffs_received: usize,
+    /// Server counters carried across restarts ([`server_counters`]).
+    carried: [u64; 4],
+    last_ci: f64,
+    last_qstep: f64,
+    last_qsteps: Vec<f64>,
+    early_stopped: bool,
+    report: StudyReport,
+    tele: Option<&'a Arc<Telemetry>>,
+}
+
+impl<'a> ShardSupervisor<'a> {
+    /// Supervises slot `shard` under endpoint scope `scope` over its
+    /// launch-time `groups` (increasing id order; empty for a joiner).
+    pub(crate) fn run(
+        ctx: &'a StudyContext,
+        shard: usize,
+        scope: &str,
+        groups: &[u64],
+    ) -> Result<ShardRun, String> {
+        let mut sup = Self::new(ctx, shard, scope, groups);
+        let exit = sup.supervise(groups);
+        sup.finish(exit)
     }
 
-    // Live telemetry handles (all no-ops when disabled): control-path
-    // gauges each supervision tick, histograms on completion/migration.
-    let tele = ctx.telemetry(shard);
-    let queue_gauge = tele.map(|t| t.registry().gauge("runner_queue_depth"));
-    let free_gauge = tele.map(|t| t.registry().gauge("runner_free_units"));
-    let turnaround_hist = tele.map(|t| t.registry().histogram("group_turnaround_nanos"));
-    let drain_hist = tele.map(|t| t.registry().histogram("migrate_drain_nanos"));
-    let adopt_hist = tele.map(|t| t.registry().histogram("migrate_adopt_nanos"));
+    /// Binds the launcher inbox and starts the server (whose readiness
+    /// [`supervise`](Self::supervise) awaits, inside the teardown's reach).
+    fn new(ctx: &'a StudyContext, shard: usize, scope: &str, groups: &[u64]) -> Self {
+        let config = &ctx.config;
+        let launcher_rx = ctx.transport.bind(&names::launcher_in(scope), 1024);
+        let launcher_tx = ctx
+            .transport
+            .connect(&names::launcher_in(scope))
+            .expect("just bound");
+        let mut report = StudyReport::new(config.n_groups);
+        report.n_shards = config.n_shards;
+        // Stamp journal events against the shared study clock, tagged with
+        // this supervisor's slot, so per-shard journals merge on one axis.
+        report.origin = ctx.started;
+        report.shard = shard as u32;
+        if shard >= config.n_shards {
+            // A joiner slot: no groups at launch, everything arrives by
+            // handoff (elastic scale-out).
+            report.shards_joined = 1;
+        }
+        let server_config = ctx.server_config(shard, scope);
+        let server = Server::start(
+            server_config.clone(),
+            Arc::clone(&ctx.transport),
+            launcher_tx.clone(),
+        );
+        Self {
+            ctx,
+            shard,
+            server_config,
+            launcher_rx,
+            launcher_tx,
+            server: Some(server),
+            server_liveness: LivenessTracker::new(config.server_timeout),
+            load: LoadMonitor::new(),
+            outcomes: Arc::new(Mutex::new(HashMap::new())),
+            active: HashMap::new(),
+            known_finished: HashSet::new(),
+            known_running: HashSet::new(),
+            retries: HashMap::new(),
+            abandoned: HashSet::new(),
+            owned: groups.iter().copied().collect(),
+            adopted_floors: HashMap::new(),
+            kills: ctx.faults.kills_for_shard(shard),
+            kill_idx: 0,
+            migrations: ctx.faults.migrations_from(shard),
+            mig_idx: 0,
+            expected_handoffs: ctx.faults.expected_handoffs(shard),
+            handoffs_received: 0,
+            carried: [0; 4],
+            last_ci: f64::INFINITY,
+            last_qstep: f64::INFINITY,
+            last_qsteps: Vec::new(),
+            early_stopped: false,
+            report,
+            tele: ctx.telemetry(shard),
+        }
+    }
 
-    let server_config = ctx.server_config(shard, scope);
+    /// Waits for the server, submits every launch-time group once, then
+    /// runs the phases each tick until the shard settles, re-homes or
+    /// fails.
+    fn supervise(&mut self, groups: &[u64]) -> Result<Exit, String> {
+        wait_for_ready(self.launcher_rx.as_ref(), self.ctx.config.server_timeout)?;
+        // In increasing id order: the runner starts a stream's jobs FIFO,
+        // so this is a deterministic start order.
+        for &g in groups {
+            self.submit(g, 0);
+        }
+        // A shard with no groups still answers the convergence
+        // coordination so the aggregate does not stay pinned at ∞.
+        if groups.is_empty() {
+            self.publish_signals();
+        }
+        self.server_liveness.record(0u32);
+        loop {
+            self.check_limits()?;
+            self.refresh_gauges();
+            self.drain_inbox()?;
+            self.adopt_handoffs()?;
+            self.run_migrations()?;
+            if let Some(to) = self.run_kills() {
+                return Ok(Exit::Rehome(to));
+            }
+            if self.recover_server()? {
+                continue;
+            }
+            self.reconcile_jobs();
+            self.check_convergence();
+            if self.is_complete() {
+                return Ok(Exit::Settled);
+            }
+        }
+    }
 
-    // Start the server and wait for readiness.
-    let launcher_tx = transport
-        .connect(&names::launcher_in(scope))
-        .expect("just bound");
-    let mut server = Server::start(
-        server_config.clone(),
-        Arc::clone(transport),
-        launcher_tx.clone(),
-    );
-    wait_for_ready(launcher_rx.as_ref(), config.server_timeout)?;
+    /// External cancellation (the daemon's `cancel` RPC) and the wall
+    /// limit.
+    fn check_limits(&self) -> Result<(), String> {
+        if self.ctx.cancel.is_killed() {
+            return Err(format!(
+                "study cancelled: finished {}/{}",
+                self.known_finished.len(),
+                self.owned.len()
+            ));
+        }
+        if self.ctx.started.elapsed() > self.ctx.config.wall_limit {
+            return Err(self.wall_limit_error());
+        }
+        Ok(())
+    }
 
-    let outcomes: Arc<Mutex<HashMap<(u64, u32), GroupOutcome>>> =
-        Arc::new(Mutex::new(HashMap::new()));
+    /// The wall-limit error, carrying the state that explains a stall:
+    /// progress, every active job (`g<group>#<instance>`, state, age), the
+    /// handoff quota, the unfired script, the epoch and the runner.
+    fn wall_limit_error(&self) -> String {
+        let mut jobs: Vec<(&u64, &ActiveJob)> = self.active.iter().collect();
+        // Started jobs first: they are the ones holding the pool.
+        jobs.sort_unstable_by_key(|(g, job)| (!job.handle.has_started(), **g));
+        let listed: Vec<String> = jobs
+            .iter()
+            .map(|(g, job)| {
+                let state = match (job.handle.is_finished(), job.handle.has_started()) {
+                    (true, _) => "ended",
+                    (false, true) => "running",
+                    (false, false) => "queued",
+                };
+                let age = job.submitted_at.elapsed();
+                format!("g{g}#{} {state} {age:.1?}", job.instance)
+            })
+            .collect();
+        let runner = &self.ctx.runner;
+        format!(
+            "study exceeded wall limit {:?}: finished {}/{} owned, abandoned {}; \
+             {} active jobs [{}]; handoffs {}/{}; unfired migrations {}, kills {}; \
+             routing epoch {}; runner {} queued, {}/{} units free",
+            self.ctx.config.wall_limit,
+            self.known_finished.len(),
+            self.owned.len(),
+            self.abandoned.len(),
+            jobs.len(),
+            listed.join(", "),
+            self.handoffs_received,
+            self.expected_handoffs,
+            self.migrations.len() - self.mig_idx,
+            self.kills.len() - self.kill_idx,
+            self.ctx.coord.routing.epoch(),
+            runner.queued_jobs(),
+            runner.free_units(),
+            runner.total_units(),
+        )
+    }
 
-    let submit = |g: u64, instance: u32, server_kill: KillSwitch| -> melissa_scheduler::JobHandle {
+    /// Control-path gauges, and the heartbeat timeout, which follows the
+    /// measured scheduling delay (factor 1 on a healthy host).
+    fn refresh_gauges(&self) {
+        let runner = &self.ctx.runner;
+        if let Some(t) = self.tele {
+            let r = t.registry();
+            r.gauge("runner_queue_depth").set(runner.queued_jobs());
+            r.gauge("runner_free_units").set(runner.free_units() as u64);
+            r.gauge("load_factor_milli")
+                .set((self.load.factor() * 1000.0) as u64);
+        }
+        let timeout = self.load.scale(self.ctx.config.server_timeout);
+        self.server_liveness.set_timeout(timeout);
+    }
+
+    /// Phase 1: handles at most one launcher-inbox message, waiting one
+    /// poll period for it.
+    fn drain_inbox(&mut self) -> Result<(), String> {
+        let poll = Duration::from_millis(10);
+        let wait_started = Instant::now();
+        let frame = match self.launcher_rx.recv_timeout(poll) {
+            Ok(frame) => frame,
+            Err(RecvTimeoutError::Timeout) => {
+                self.load.observe(poll, wait_started.elapsed());
+                return Ok(());
+            }
+            Err(RecvTimeoutError::Disconnected) => return Err("launcher inbox closed".into()),
+        };
+        match Message::decode(&frame) {
+            Ok(Message::Heartbeat { .. } | Message::ServerReady) => {
+                self.server_liveness.record(0u32);
+            }
+            Ok(Message::ServerReport {
+                finished_groups,
+                running_groups,
+                max_ci_width,
+                max_quantile_step,
+                quantile_steps,
+                blocked_sends,
+                blocked_nanos,
+            }) => {
+                self.server_liveness.record(0u32);
+                self.known_finished.extend(finished_groups);
+                self.known_running = running_groups.into_iter().collect();
+                self.last_ci = max_ci_width;
+                self.last_qstep = max_quantile_step;
+                self.last_qsteps = quantile_steps;
+                self.publish_signals();
+                // Live backpressure accounting (the Fig. 6 signal), until
+                // the final rollup writes the end-of-study figures.
+                self.report.blocked_sends = blocked_sends;
+                self.report.blocked_time = Duration::from_nanos(blocked_nanos);
+            }
+            Ok(Message::GroupTimeout { group_id })
+                if !self.known_finished.contains(&group_id) && self.owned.contains(&group_id) =>
+            {
+                self.log(EventKind::GroupTimeout { group: group_id });
+                self.fail_group(group_id);
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Phase 1.5: adopts inbound handoffs — floors first (the ban lift
+    /// and discard floors must be in place before the replayed instance's
+    /// first frame), then the resubmission.
+    fn adopt_handoffs(&mut self) -> Result<(), String> {
+        for handoff in self.ctx.coord.take_handoffs(self.shard) {
+            self.handoffs_received += 1;
+            if handoff.groups.is_empty() {
+                continue;
+            }
+            let adopt_started = Instant::now();
+            self.log(EventKind::GroupsAdopted {
+                epoch: handoff.epoch,
+                n_groups: handoff.groups.len() as u64,
+                from: handoff.from as u32,
+            });
+            for mg in handoff.groups {
+                self.adopt_floors(mg.id, &mg.floors)?;
+                self.owned.insert(mg.id);
+                self.adopted_floors.insert(mg.id, mg.floors);
+                self.restart(mg.id, mg.next_instance);
+            }
+            // Persist the adoption: a transient crash right after this
+            // point must restore the adopted floors, not resurrect
+            // pre-fence state.
+            self.server()
+                .checkpoint_now(&self.server_config.checkpoint_dir);
+            record_since(self.tele, "migrate_adopt_nanos", adopt_started);
+        }
+        Ok(())
+    }
+
+    /// Phase 2: scripted live migrations whose trigger point was reached.
+    fn run_migrations(&mut self) -> Result<(), String> {
+        while let Some(m) = self
+            .migrations
+            .get(self.mig_idx)
+            .filter(|m| self.known_finished.len() >= m.after_finished_groups)
+            .cloned()
+        {
+            self.mig_idx += 1;
+            self.migrate(&m)?;
+        }
+        Ok(())
+    }
+
+    /// One drain-and-move under an epoch fence: stops each moving group's
+    /// job, fences it out of the server and hands its final floors over.
+    fn migrate(&mut self, m: &Migration) -> Result<(), String> {
+        let finished_now = self.server().shared().finished_groups();
+        let drain_started = Instant::now();
+        let mut candidates: Vec<u64> = match &m.moves {
+            MigrationMoves::Groups(gs) => gs.clone(),
+            MigrationMoves::AllUnfinished => self.owned.iter().copied().collect(),
+        };
+        candidates.retain(|g| {
+            self.owned.contains(g) && !finished_now.contains(g) && !self.abandoned.contains(g)
+        });
+        candidates.sort_unstable();
+        let last_ts = self.ctx.config.solver.n_timesteps as i64 - 1;
+        let mut moved: Vec<MigratedGroup> = Vec::new();
+        for g in candidates {
+            // Stop the sender first: after the join no new frames for the
+            // group enter the transport, so the flush barrier fences a
+            // *final* floor.
+            self.stop_job(g);
+            let floors = self.migrate_out(g)?;
+            if floors.iter().any(|&f| f >= last_ts) {
+                // Finishing filter: some worker already integrated the
+                // group's last timestep — too late to move.  Re-adopt
+                // locally (lifts the ban) and resubmit if any worker
+                // still wants data.
+                self.adopt_floors(g, &floors)?;
+                self.log(EventKind::FinishedDuringFence {
+                    group: g,
+                    shard: self.shard as u32,
+                });
+                if !self.server().shared().finished_groups().contains(&g) {
+                    self.restart(g, self.next_instance(g));
+                }
+                continue;
+            }
+            self.owned.remove(&g);
+            self.known_running.remove(&g);
+            moved.push(MigratedGroup {
+                id: g,
+                floors,
+                next_instance: self.next_instance(g),
+            });
+        }
+        let epoch = self.fence(m.to, &moved);
+        record_since(self.tele, "migrate_drain_nanos", drain_started);
+        self.log(EventKind::MigrationFence {
+            epoch,
+            n_groups: moved.len() as u64,
+            from: self.shard as u32,
+            to: m.to as u32,
+        });
+        // Persist the post-fence floors before anything else can fail: a
+        // transient restore must never resurrect a migrated group's
+        // pre-fence state.
+        self.server()
+            .checkpoint_now(&self.server_config.checkpoint_dir);
+        self.hand_off(m.to, epoch, moved);
+        if self.owned.is_empty() {
+            // Drained by scale-in: neutralise the convergence signal.
+            self.publish_signals();
+        }
+        Ok(())
+    }
+
+    /// Phase 2.5: fires the next scripted server kill once its trigger is
+    /// reached — transient (crash-restore in place, phase 3) or permanent
+    /// (returns the re-home target).  At most one kill fires per tick: a
+    /// transient one must crash-restore before the next script entry.
+    fn run_kills(&mut self) -> Option<usize> {
+        let k = self
+            .kills
+            .get(self.kill_idx)
+            .filter(|k| self.known_finished.len() >= k.after_finished_groups)?
+            .clone();
+        self.kill_idx += 1;
+        let finished = self.known_finished.len() as u64;
+        if !k.permanent {
+            self.log(EventKind::ServerKillInjected { finished });
+            self.server().kill.kill();
+            return None;
+        }
+        let to = k
+            .rehome_to
+            .expect("validated: permanent kills name a re-home target");
+        self.log(EventKind::ShardDeathInjected {
+            finished,
+            rehome_to: to as u32,
+        });
+        Some(to)
+    }
+
+    /// Phase 3: server fault recovery (per-shard failover: the restored
+    /// instance rebinds the same scoped endpoints, and the routing table
+    /// sends exactly this shard's unfinished groups back to it).  Returns
+    /// whether the server was restarted.
+    fn recover_server(&mut self) -> Result<bool, String> {
+        if !self.server().kill.is_killed() && self.server_liveness.expired().is_empty() {
+            return Ok(false);
+        }
+        self.report.server_restarts += 1;
+        self.log(EventKind::ServerRestarted);
+        // Kill all running jobs (their sends would hang on dead
+        // endpoints), then restart the server from its checkpoint.
+        self.stop_jobs();
+        let crashed = self.server.take().expect("the server runs until teardown");
+        for (c, n) in self
+            .carried
+            .iter_mut()
+            .zip(server_counters(crashed.shared()))
+        {
+            *c += n;
+        }
+        crashed.abandon();
+        let restore_cfg = ServerConfig {
+            restore: true,
+            ..self.server_config.clone()
+        };
+        self.server = Some(Server::start(
+            restore_cfg,
+            Arc::clone(&self.ctx.transport),
+            self.launcher_tx.clone(),
+        ));
+        wait_for_ready(self.launcher_rx.as_ref(), self.ctx.config.server_timeout)?;
+        self.server_liveness.record(0u32);
+        // Only the restored checkpoint's bookkeeping counts now: any group
+        // the launcher believed finished but the server lost since its
+        // last checkpoint must be restarted too (paper Section 4.2.3: "the
+        // groups considered as finished by the launcher but not the
+        // server").
+        self.known_finished = self
+            .server()
+            .shared()
+            .finished_groups()
+            .into_iter()
+            .collect();
+        self.known_running.clear();
+        // Resubmit everything not finished (discard-on-replay absorbs any
+        // duplicated timesteps), in sorted order over current ownership so
+        // restarts after a fence stay deterministic.
+        let mut unfinished: Vec<u64> = self
+            .owned
+            .iter()
+            .copied()
+            .filter(|g| !self.known_finished.contains(g) && !self.abandoned.contains(g))
+            .collect();
+        unfinished.sort_unstable();
+        for g in unfinished {
+            let instance = self.next_instance(g);
+            self.log(EventKind::GroupResubmitted { group: g, instance });
+            self.restart(g, instance);
+        }
+        Ok(true)
+    }
+
+    /// Phase 4: reconciles job states — completed, died, or zombie.
+    fn reconcile_jobs(&mut self) {
+        // Zombie bound, scaled by the observed scheduling delay: a slow
+        // host or a queue-starved tenant stretches it, a healthy host
+        // keeps 2× the nominal timeout.
+        let zombie_after = self.load.scale(self.ctx.config.group_timeout * 2);
+        let mut ended: Vec<u64> = Vec::new();
+        let mut failed: Vec<(u64, EventKind)> = Vec::new();
+        for (&g, job) in self.active.iter_mut() {
+            if !job.handle.is_finished() {
+                // A job still waiting its turn on a busy shared pool is
+                // not silent: its zombie clock starts when it starts.
+                // Past that, a job the server never heard from longer
+                // than the bound is a zombie.
+                let silent = !self.known_running.contains(&g) && !self.known_finished.contains(&g);
+                if !job.handle.has_started() {
+                    job.started_at = Instant::now();
+                } else if silent && job.started_at.elapsed() > zombie_after {
+                    let instance = job.instance;
+                    failed.push((g, EventKind::GroupZombie { group: g, instance }));
+                }
+                continue;
+            }
+            let outcome = self.outcomes.lock().get(&(g, job.instance)).cloned();
+            match outcome {
+                Some(GroupOutcome::Completed { .. }) => {
+                    record_since(self.tele, "group_turnaround_nanos", job.started_at);
+                    ended.push(g);
+                }
+                Some(GroupOutcome::Died { .. }) | Some(GroupOutcome::Aborted { .. }) => {
+                    let detail = format!("{outcome:?}");
+                    let instance = job.instance;
+                    failed.push((
+                        g,
+                        EventKind::GroupDied {
+                            group: g,
+                            instance,
+                            detail,
+                        },
+                    ));
+                }
+                None => ended.push(g), // killed before recording
+            }
+        }
+        for g in ended {
+            self.active.remove(&g);
+        }
+        for (g, event) in failed {
+            self.log(event);
+            if self.known_finished.contains(&g) {
+                self.active.remove(&g);
+            } else {
+                self.fail_group(g);
+            }
+        }
+    }
+
+    /// Phase 5: convergence loopback — stop early once every configured
+    /// *aggregate* signal (max over shards: CI width and/or quantile step)
+    /// converged, i.e. on whichever estimate is slowest.  Whichever
+    /// supervisor observes the crossing flips the shared flag; all shards
+    /// then cancel their remaining groups.
+    fn check_convergence(&mut self) {
+        let ctx = self.ctx;
+        let config = &ctx.config;
+        if config.target_ci_width.is_none() && config.target_quantile_step.is_none() {
+            return;
+        }
+        let global_ci = ctx.coord.max_ci();
+        let global_qstep = ctx.coord.max_qstep();
+        let ci_ok = config
+            .target_ci_width
+            .is_none_or(|t| global_ci.is_finite() && global_ci < t);
+        let qstep_ok = config
+            .target_quantile_step
+            .is_none_or(|t| global_qstep.is_finite() && global_qstep < t);
+        if ci_ok && qstep_ok && ctx.coord.total_finished() > 0 {
+            ctx.coord.early_stop.store(true, Ordering::Relaxed);
+        }
+        if ctx.coord.early_stop.load(Ordering::Relaxed) && !self.early_stopped {
+            self.early_stopped = true;
+            self.log(EventKind::EarlyStop {
+                max_ci: global_ci,
+                max_qstep: global_qstep,
+                cancelled: self.active.len() as u64,
+            });
+            self.stop_jobs();
+        }
+    }
+
+    /// Phase 6: completion — no job left, and either the study stopped
+    /// early or every owned group settled *and* the chaos script fully
+    /// played out (unfired fences would leave their targets waiting on
+    /// the handoff quota forever).
+    fn is_complete(&self) -> bool {
+        let script_done = self.mig_idx >= self.migrations.len()
+            && self.kill_idx >= self.kills.len()
+            && self.handoffs_received >= self.expected_handoffs;
+        let settled = self
+            .known_finished
+            .iter()
+            .filter(|g| self.owned.contains(g))
+            .count()
+            + self.abandoned.len()
+            >= self.owned.len();
+        (self.early_stopped || (script_done && settled)) && self.active.is_empty()
+    }
+
+    /// The one teardown: stops every job, then stops the server and rolls
+    /// up the report (settled), or abandons it and re-homes its lineage
+    /// (permanent death) or passes the error on.
+    fn finish(mut self, exit: Result<Exit, String>) -> Result<ShardRun, String> {
+        self.stop_jobs();
+        let server = self.server.take().expect("the server runs until teardown");
+        let link = server.data_link_stats();
+        let shared = Arc::clone(server.shared());
+        match exit {
+            Err(e) => {
+                server.abandon();
+                Err(e)
+            }
+            Ok(Exit::Settled) => {
+                // An early-stopped supervisor still owes its script's
+                // targets their handoff envelopes.
+                self.deliver_empty_handoffs(self.ctx.coord.routing.epoch());
+                let states = server.stop();
+                self.report.groups_finished = self.known_finished.len();
+                self.publish_signals();
+                let epoch = self.ctx.coord.routing.epoch();
+                Ok(self.rollup(states, &link, &shared, epoch))
+            }
+            Ok(Exit::Rehome(to)) => {
+                server.abandon();
+                Ok(self.rehome(to, &link, &shared))
+            }
+        }
+    }
+
+    /// The permanent-death exit: the server is gone for good, so its last
+    /// checkpoint *is* its statistics lineage.  Every group not finished
+    /// by every worker of that lineage is fenced to `to` with per-worker
+    /// floors (checkpointed floor, raised to any floor this shard itself
+    /// adopted earlier); the lineage is this slot's contribution to the
+    /// study-end reduction.
+    fn rehome(mut self, to: usize, link: &LinkStatsSnapshot, shared: &ServerShared) -> ShardRun {
+        let ctx = self.ctx;
+        let config = &ctx.config;
+        // An unreadable worker checkpoint hands off cold (floor −1 ⇒ full
+        // replay at the target).
+        let n_workers = config.server_workers;
+        let partition = SlabPartition::new(ctx.n_cells, n_workers);
+        let mut lineage: Vec<WorkerState> = Vec::with_capacity(n_workers);
+        for w in 0..n_workers {
+            match read_checkpoint(&self.server_config.checkpoint_dir, w) {
+                Ok(mut st) => {
+                    st.ensure_quantiles(&config.quantile_probs);
+                    lineage.push(st);
+                }
+                Err(e) => {
+                    self.log(EventKind::CheckpointUnreadable {
+                        worker: w as u32,
+                        detail: e.to_string(),
+                    });
+                    lineage.push(WorkerState::with_stats(
+                        w,
+                        partition.worker_range(w),
+                        ctx.p,
+                        config.solver.n_timesteps,
+                        &config.thresholds,
+                        &config.quantile_probs,
+                    ));
+                }
+            }
+        }
+        // Only groups finished by *every* worker of the lineage stay; the
+        // rest re-home (a partially finished group replays its tail on the
+        // target, discard floors preventing any double integration).
+        let finished_everywhere: HashSet<u64> = lineage[0]
+            .finished_groups()
+            .iter()
+            .copied()
+            .filter(|g| lineage.iter().all(|s| s.finished_groups().contains(g)))
+            .collect();
+        let mut moving: Vec<u64> = self
+            .owned
+            .iter()
+            .copied()
+            .filter(|g| !self.abandoned.contains(g) && !finished_everywhere.contains(g))
+            .collect();
+        moving.sort_unstable();
+        let moved: Vec<MigratedGroup> = moving
+            .into_iter()
+            .map(|g| MigratedGroup {
+                id: g,
+                floors: (0..n_workers)
+                    .map(|w| {
+                        let remembered = self.adopted_floors.get(&g).map_or(-1, |f| f[w]);
+                        lineage[w].completed_floor(g).max(remembered)
+                    })
+                    .collect(),
+                next_instance: self.next_instance(g),
+            })
+            .collect();
+        let epoch = self.fence(to, &moved);
+        self.report.shards_rehomed = 1;
+        self.log(EventKind::ShardRehomed {
+            epoch,
+            n_groups: moved.len() as u64,
+            from: self.shard as u32,
+            to: to as u32,
+        });
+        self.hand_off(to, epoch, moved);
+        // The rest of this shard's script will never fire.
+        self.deliver_empty_handoffs(epoch);
+        self.report.groups_finished = self
+            .owned
+            .iter()
+            .filter(|g| finished_everywhere.contains(g))
+            .count();
+        // Neutralise the convergence signal: a dead slot must not pin the
+        // aggregate at its last (stale) value or at ∞.
+        let finished = self.report.groups_finished;
+        ctx.coord.publish(self.shard, 0.0, 0.0, finished);
+        self.rollup(lineage, link, shared, epoch)
+    }
+
+    /// The report rollup shared by the settled and re-homed exits.
+    fn rollup(
+        self,
+        states: Vec<WorkerState>,
+        link: &LinkStatsSnapshot,
+        shared: &ServerShared,
+        epoch: u64,
+    ) -> ShardRun {
+        let transport = &self.ctx.transport;
+        let mut report = self.report;
+        let mut abandoned: Vec<u64> = self.abandoned.into_iter().collect();
+        abandoned.sort_unstable();
+        report.groups_abandoned = abandoned;
+        let [messages, bytes, replays, checkpoints] = server_counters(shared);
+        report.data_messages = self.carried[0] + messages;
+        report.data_bytes = self.carried[1] + bytes;
+        report.replays_discarded = self.carried[2] + replays;
+        report.checkpoints_written = self.carried[3] + checkpoints;
+        report.transport = transport.backend_name().to_string();
+        report.blocked_sends = link.blocked_sends;
+        report.blocked_time = link.blocked_time();
+        report.link_messages = link.messages;
+        report.link_bytes = link.bytes;
+        report.link_wire_bytes = link.wire_bytes;
+        report.early_stopped = self.early_stopped;
+        report.final_max_ci = self.last_ci;
+        report.final_max_quantile_step = self.last_qstep;
+        report.quantile_probs = self.ctx.config.quantile_probs.clone();
+        report.final_quantile_steps = self.last_qsteps;
+        report.transport_reconnects = transport.reconnects();
+        report.routing_epoch = epoch;
+        ShardRun { states, report }
+    }
+
+    /// Submits instance `instance` of group `g` and tracks its job.
+    fn submit(&mut self, g: u64, instance: u32) {
+        let ctx = self.ctx;
+        let config = &ctx.config;
         // Sharded studies route through the epoch-fenced table *at submit
         // time*, so a group resubmitted after a fence connects to its new
-        // owner; the single-server study keeps its (possibly
-        // study-scoped) flat scope.  The routing table speaks bare shard
-        // scopes, so a daemon-hosted sharded study nests them under its
-        // outer study scope here.
-        let job_scope = if config.n_shards > 1 {
+        // owner.  The table speaks bare shard scopes, nested here under
+        // the outer study scope (a daemon-hosted study's `study<id>`),
+        // which is also the single-server study's own scope.
+        let scope = if config.n_shards > 1 {
             names::scoped(&ctx.outer, &ctx.coord.routing.scope_of(g))
         } else {
-            scope.to_string()
+            ctx.outer.clone()
         };
-        let ctx_job = GroupContext {
-            scope: job_scope,
+        let job = GroupContext {
+            scope,
             group_id: g,
             instance,
             rows: ctx.design.group(g as usize).rows().to_vec(),
             solver: config.solver.clone(),
             flow: Arc::clone(&ctx.flow),
             ranks: config.ranks_per_simulation,
-            transport: Arc::clone(transport),
+            transport: Arc::clone(&ctx.transport),
             timeout: config.group_timeout,
             fault: ctx.faults.group_fault(g, instance),
             link_fault: config.link_fault.clone(),
             wire_compression: config.wire_compression,
         };
-        let outcomes = Arc::clone(&outcomes);
-        let _ = server_kill;
-        ctx.runner.submit_boxed(
+        let outcomes = Arc::clone(&self.outcomes);
+        let handle = ctx.runner.submit_boxed(
             1,
             Box::new(move |kill| {
-                let outcome = run_group(ctx_job, kill);
+                let outcome = run_group(job, kill);
                 outcomes.lock().insert((g, instance), outcome);
             }),
-        )
-    };
-
-    // Submit every group of this shard once, in increasing id order (the
-    // runner's ticket FIFO turns that into a deterministic start order).
-    let mut active: HashMap<u64, ActiveJob> = HashMap::new();
-    for &g in groups {
-        let handle = submit(g, 0, server.kill.clone());
-        active.insert(
-            g,
-            ActiveJob {
-                handle,
-                instance: 0,
-                started_at: Instant::now(),
-            },
         );
+        let now = Instant::now();
+        let job = ActiveJob {
+            handle,
+            instance,
+            submitted_at: now,
+            started_at: now,
+        };
+        self.active.insert(g, job);
     }
 
-    // A shard with no groups still answers the convergence coordination
-    // (a neutral signal) so the aggregate does not stay pinned at ∞.
-    if groups.is_empty() {
-        ctx.coord.publish(shard, 0.0, 0.0, 0);
+    /// Resubmits group `g` as `instance` (a retry, a post-crash or
+    /// finishing-filter resubmission, or an adopted group's replay).
+    fn restart(&mut self, g: u64, instance: u32) {
+        self.retries.insert(g, instance);
+        self.report.group_restarts += 1;
+        self.submit(g, instance);
     }
 
-    // Supervision state.
-    let server_liveness = LivenessTracker::new(config.server_timeout);
-    server_liveness.record(0u32);
-    // Load-aware supervision (the congestion-collapse fix): the loop's
-    // own timed waits measure how starved this process is, and both
-    // failure detectors — the server heartbeat and the zombie check —
-    // stretch by the observed factor instead of shipping inflated
-    // wall-clock limits that would slow detection on a healthy host.
-    let load = LoadMonitor::new();
-    let poll = Duration::from_millis(10);
-    let load_gauge = tele.map(|t| t.registry().gauge("load_factor_milli"));
-    let mut known_finished: HashSet<u64> = HashSet::new();
-    let mut known_running: HashSet<u64> = HashSet::new();
-    let mut retries: HashMap<u64, u32> = HashMap::new();
-    let mut abandoned: HashSet<u64> = HashSet::new();
-    let mut last_ci = f64::INFINITY;
-    let mut last_quantile_step = f64::INFINITY;
-    let mut last_quantile_steps: Vec<f64> = Vec::new();
-    let mut early_stopped = false;
-    // Live ownership: groups this supervisor currently owns.  Shrinks
-    // when a fence migrates groups away, grows when a handoff arrives.
-    let mut my_groups: HashSet<u64> = groups.iter().copied().collect();
-    // Scripted chaos: server kills (transient and permanent) and
-    // outbound migrations, each a sorted queue consumed by trigger.
-    let kills = ctx.faults.kills_for_shard(shard);
-    let mut kill_idx = 0usize;
-    let migrations = ctx.faults.migrations_from(shard);
-    let mut mig_idx = 0usize;
-    let expected_handoffs = ctx.faults.expected_handoffs(shard);
-    let mut handoffs_received = 0usize;
-    // Floors adopted from inbound handoffs, remembered so a later
-    // permanent death hands off at least these floors even if the local
-    // checkpoint predates the adoption.
-    let mut adopted_floors: HashMap<u64, Vec<i64>> = HashMap::new();
-    // Counters carried across server restarts (a crashed server's shared
-    // counters would otherwise vanish from the final report).
-    let mut carried = [0u64; 4];
+    fn next_instance(&self, g: u64) -> u32 {
+        self.retries.get(&g).copied().unwrap_or(0) + 1
+    }
 
-    loop {
-        // External cancellation (the daemon's `cancel` RPC): stop every
-        // job and the server cleanly, then report the study cancelled.
-        if ctx.cancel.is_killed() {
-            for (_, job) in active.iter() {
-                job.handle.kill.kill();
-            }
-            for (_, job) in active.drain() {
-                job.handle.join();
-            }
-            server.abandon();
-            return Err(format!(
-                "study cancelled: finished {}/{}",
-                known_finished.len(),
-                my_groups.len()
-            ));
+    /// Kills and resubmits a failed group, honouring the retry cap: past
+    /// it the group is abandoned, never replaced by a redrawn row (paper
+    /// Section 4.2.2).
+    fn fail_group(&mut self, g: u64) {
+        if self.abandoned.contains(&g) {
+            return;
         }
-        if ctx.started.elapsed() > wall_limit {
-            return Err(format!(
-                "study exceeded wall limit {:?}: finished {}/{}",
-                wall_limit,
-                known_finished.len(),
-                my_groups.len()
-            ));
+        self.stop_job(g);
+        let instance = self.next_instance(g);
+        let retries = self.ctx.config.max_group_retries;
+        if instance > retries {
+            self.retries.insert(g, instance);
+            self.abandoned.insert(g);
+            self.log(EventKind::GroupAbandoned { group: g, retries });
+            return;
         }
+        self.log(EventKind::GroupRestarted { group: g, instance });
+        self.restart(g, instance);
+    }
 
-        // Control-path gauges, refreshed every supervision tick: how deep
-        // the FCFS queue is and how much of the node budget is free.
-        if let Some(g) = &queue_gauge {
-            g.set(ctx.runner.queued_jobs());
+    /// Kills one group's job, if it has one, and waits for it to end.
+    fn stop_job(&mut self, g: u64) {
+        if let Some(job) = self.active.remove(&g) {
+            job.handle.kill.kill();
+            job.handle.join();
         }
-        if let Some(g) = &free_gauge {
-            g.set(ctx.runner.free_units() as u64);
-        }
-        if let Some(g) = &load_gauge {
-            g.set((load.factor() * 1000.0) as u64);
-        }
-        // The heartbeat detector follows the measured scheduling delay
-        // (one relaxed store; factor 1 on a healthy host).
-        server_liveness.set_timeout(load.scale(config.server_timeout));
+    }
 
-        // 1. Drain launcher inbox.
-        let wait_started = Instant::now();
-        match launcher_rx.recv_timeout(poll) {
-            Ok(frame) => {
-                if let Ok(msg) = Message::decode(&frame) {
-                    match msg {
-                        Message::Heartbeat { .. } | Message::ServerReady => {
-                            server_liveness.record(0u32);
-                        }
-                        Message::ServerReport {
-                            finished_groups,
-                            running_groups,
-                            max_ci_width,
-                            max_quantile_step,
-                            quantile_steps,
-                            blocked_sends,
-                            blocked_nanos,
-                        } => {
-                            server_liveness.record(0u32);
-                            known_finished.extend(finished_groups);
-                            known_running = running_groups.into_iter().collect();
-                            last_ci = max_ci_width;
-                            last_quantile_step = max_quantile_step;
-                            last_quantile_steps = quantile_steps;
-                            // A supervisor owning no groups (a joiner
-                            // before its handoff, a drained source) keeps
-                            // its signal neutral: its idle server reports
-                            // an infinite CI that would pin the aggregate.
-                            let (ci, qstep) = if my_groups.is_empty() {
-                                (0.0, 0.0)
-                            } else {
-                                (last_ci, last_quantile_step)
-                            };
-                            ctx.coord.publish(shard, ci, qstep, known_finished.len());
-                            // Live backpressure accounting (the Fig. 6
-                            // signal): keeps the report current mid-study
-                            // and across server crashes; the final stop
-                            // path overwrites it with the authoritative
-                            // end-of-study transport rollup.
-                            report.blocked_sends = blocked_sends;
-                            report.blocked_time = Duration::from_nanos(blocked_nanos);
-                        }
-                        Message::GroupTimeout { group_id }
-                            if !known_finished.contains(&group_id)
-                                && my_groups.contains(&group_id) =>
-                        {
-                            log_ev(
-                                &mut report,
-                                tele,
-                                EventKind::GroupTimeout { group: group_id },
-                            );
-                            handle_group_failure(
-                                group_id,
-                                &mut active,
-                                &mut retries,
-                                &mut abandoned,
-                                &mut report,
-                                tele,
-                                config.max_group_retries,
-                                &submit,
-                                &server.kill,
-                            );
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                load.observe(poll, wait_started.elapsed());
-            }
-            Err(RecvTimeoutError::Disconnected) => return Err("launcher inbox closed".into()),
+    /// Kills every active job, then joins them all (every kill goes out
+    /// before the first join, so the jobs wind down in parallel).
+    fn stop_jobs(&mut self) {
+        for job in self.active.values() {
+            job.handle.kill.kill();
         }
+        for (_, job) in self.active.drain() {
+            job.handle.join();
+        }
+    }
 
-        // 1.5. Inbound handoffs: adopt migrated groups (floors first —
-        // the ban lift + discard floors must be in place before the
-        // replayed instance's first frame — then resubmit).
-        for handoff in ctx.coord.take_handoffs(shard) {
-            handoffs_received += 1;
-            let adopted_any = !handoff.groups.is_empty();
-            let adopt_started = Instant::now();
-            if adopted_any {
-                log_ev(
-                    &mut report,
-                    tele,
-                    EventKind::GroupsAdopted {
-                        epoch: handoff.epoch,
-                        n_groups: handoff.groups.len() as u64,
-                        from: handoff.from as u32,
-                    },
-                );
-            }
-            for mg in handoff.groups {
-                server.adopt_floors(mg.id, &mg.floors);
-                await_adopt_acks(&server, mg.id, config.migration_timeout)
-                    .map_err(|e| format!("shard {shard}: {e}"))?;
-                my_groups.insert(mg.id);
-                adopted_floors.insert(mg.id, mg.floors);
-                retries.insert(mg.id, mg.next_instance);
-                report.group_restarts += 1;
-                let handle = submit(mg.id, mg.next_instance, server.kill.clone());
-                active.insert(
-                    mg.id,
-                    ActiveJob {
-                        handle,
-                        instance: mg.next_instance,
-                        started_at: Instant::now(),
-                    },
-                );
-            }
-            if adopted_any {
-                // Persist the adoption: a transient crash right after
-                // this point must restore the adopted floors, not
-                // resurrect pre-fence state.
-                server.checkpoint_now(&server_config.checkpoint_dir);
-                if let Some(h) = &adopt_hist {
-                    h.record(adopt_started.elapsed().as_nanos() as u64);
-                }
-            }
+    /// Fences `groups` over to slot `to`; returns the new routing epoch.
+    fn fence(&mut self, to: usize, groups: &[MigratedGroup]) -> u64 {
+        let moves: Vec<(u64, usize)> = groups.iter().map(|mg| (mg.id, to)).collect();
+        let epoch = self.ctx.coord.routing.fence(&moves);
+        if let Some(t) = self.tele {
+            t.set_routing_epoch(epoch);
         }
+        self.report.groups_migrated += groups.len() as u64;
+        epoch
+    }
 
-        // 2. Scripted live migrations (drain-and-move under an epoch
-        // fence).
-        while mig_idx < migrations.len()
-            && known_finished.len() >= migrations[mig_idx].after_finished_groups
-        {
-            let m = migrations[mig_idx].clone();
-            mig_idx += 1;
-            let finished_now: HashSet<u64> =
-                server.shared().finished_groups().into_iter().collect();
-            let drain_started = Instant::now();
-            let mut candidates: Vec<u64> = match &m.moves {
-                crate::fault::MigrationMoves::Groups(gs) => gs
-                    .iter()
-                    .copied()
-                    .filter(|g| {
-                        my_groups.contains(g) && !finished_now.contains(g) && !abandoned.contains(g)
-                    })
-                    .collect(),
-                crate::fault::MigrationMoves::AllUnfinished => my_groups
-                    .iter()
-                    .copied()
-                    .filter(|g| !finished_now.contains(g) && !abandoned.contains(g))
-                    .collect(),
-            };
-            candidates.sort_unstable();
-            let mut moves: Vec<(u64, usize)> = Vec::new();
-            let mut handoff_groups: Vec<MigratedGroup> = Vec::new();
-            let last_ts = config.solver.n_timesteps as i64 - 1;
-            for &g in &candidates {
-                // Stop the sender first: after the join no new frames for
-                // the group enter the transport, so the flush barrier
-                // below fences a *final* floor.
-                if let Some(job) = active.remove(&g) {
-                    job.handle.kill.kill();
-                    job.handle.join();
-                }
-                server.migrate_out(g);
-                let floors = await_migrate_floors(&server, g, config.migration_timeout)
-                    .map_err(|e| format!("shard {shard}: {e}"))?;
-                if floors.iter().any(|&f| f >= last_ts) {
-                    // Finishing filter: some worker already integrated the
-                    // group's last timestep — too late to move.  Re-adopt
-                    // locally (lifts the ban) and resubmit if any worker
-                    // still wants data.
-                    server.adopt_floors(g, &floors);
-                    await_adopt_acks(&server, g, config.migration_timeout)
-                        .map_err(|e| format!("shard {shard}: {e}"))?;
-                    log_ev(
-                        &mut report,
-                        tele,
-                        EventKind::FinishedDuringFence {
-                            group: g,
-                            shard: shard as u32,
-                        },
-                    );
-                    if !server.shared().finished_groups().contains(&g) {
-                        let instance = retries.get(&g).copied().unwrap_or(0) + 1;
-                        retries.insert(g, instance);
-                        report.group_restarts += 1;
-                        let handle = submit(g, instance, server.kill.clone());
-                        active.insert(
-                            g,
-                            ActiveJob {
-                                handle,
-                                instance,
-                                started_at: Instant::now(),
-                            },
-                        );
-                    }
-                    continue;
-                }
-                my_groups.remove(&g);
-                known_running.remove(&g);
-                let next_instance = retries.get(&g).copied().unwrap_or(0) + 1;
-                moves.push((g, m.to));
-                handoff_groups.push(MigratedGroup {
-                    id: g,
-                    floors,
-                    next_instance,
-                });
-            }
-            let epoch = ctx.coord.routing.fence(&moves);
-            if let Some(t) = tele {
-                t.set_routing_epoch(epoch);
-            }
-            if let Some(h) = &drain_hist {
-                h.record(drain_started.elapsed().as_nanos() as u64);
-            }
-            report.groups_migrated += handoff_groups.len() as u64;
-            log_ev(
-                &mut report,
-                tele,
-                EventKind::MigrationFence {
-                    epoch,
-                    n_groups: handoff_groups.len() as u64,
-                    from: shard as u32,
-                    to: m.to as u32,
-                },
-            );
-            // Persist the post-fence floors before anything else can
-            // fail: a transient restore must never resurrect a migrated
-            // group's pre-fence state.
-            server.checkpoint_now(&server_config.checkpoint_dir);
-            ctx.coord.push_handoff(
-                m.to,
-                Handoff {
-                    from: shard,
-                    epoch,
-                    groups: handoff_groups,
-                },
-            );
-            if my_groups.is_empty() {
-                // Drained by scale-in: neutralise the convergence signal
-                // so this slot cannot pin the aggregate.
-                ctx.coord.publish(shard, 0.0, 0.0, known_finished.len());
-            }
-        }
+    fn hand_off(&self, to: usize, epoch: u64, groups: Vec<MigratedGroup>) {
+        let from = self.shard;
+        let handoff = Handoff {
+            from,
+            epoch,
+            groups,
+        };
+        self.ctx.coord.push_handoff(to, handoff);
+    }
 
-        // 2.5. Scripted server kills: transient (crash-restore in place)
-        // or permanent (the shard is gone; re-home to a peer).
-        // At most one kill fires per supervision pass: a transient kill
-        // must crash-restore (step 3) before the next script entry, and a
-        // permanent one never comes back at all.
-        if kill_idx < kills.len() && known_finished.len() >= kills[kill_idx].after_finished_groups {
-            let k = kills[kill_idx].clone();
-            kill_idx += 1;
-            if !k.permanent {
-                log_ev(
-                    &mut report,
-                    tele,
-                    EventKind::ServerKillInjected {
-                        finished: known_finished.len() as u64,
-                    },
-                );
-                server.kill.kill();
-            } else {
-                let to = k
-                    .rehome_to
-                    .expect("validated: permanent kills name a re-home target");
-                log_ev(
-                    &mut report,
-                    tele,
-                    EventKind::ShardDeathInjected {
-                        finished: known_finished.len() as u64,
-                        rehome_to: to as u32,
-                    },
-                );
-                return rehome_dead_shard(
-                    ctx,
-                    shard,
-                    to,
-                    server,
-                    &server_config,
-                    active,
-                    report,
-                    my_groups,
-                    abandoned,
-                    retries,
-                    adopted_floors,
-                    &migrations[mig_idx..],
-                    &kills[kill_idx..],
-                    carried,
-                    (last_ci, last_quantile_step, last_quantile_steps),
-                    early_stopped,
-                );
-            }
-        }
-
-        // 3. Server fault recovery (per-shard failover: the restored
-        // instance rebinds the same scoped endpoints, and the stable
-        // group-hash routing re-routes exactly this shard's unfinished
-        // groups back to it).
-        if server.kill.is_killed() || !server_liveness.expired().is_empty() {
-            report.server_restarts += 1;
-            log_ev(&mut report, tele, EventKind::ServerRestarted);
-            // Kill all running jobs (their sends would hang on dead
-            // endpoints), then restart the server from its checkpoint.
-            for (_, job) in active.iter() {
-                job.handle.kill.kill();
-            }
-            for (_, job) in active.drain() {
-                job.handle.join();
-            }
-            {
-                use std::sync::atomic::Ordering::Relaxed;
-                let s = server.shared();
-                carried[0] += s.messages_received.load(Relaxed);
-                carried[1] += s.bytes_received.load(Relaxed);
-                carried[2] += s.replays_discarded.load(Relaxed);
-                carried[3] += s.checkpoints_written.load(Relaxed);
-            }
-            server.abandon();
-            let restore_cfg = ServerConfig {
-                restore: true,
-                ..server_config.clone()
-            };
-            server = Server::start(restore_cfg, Arc::clone(transport), launcher_tx.clone());
-            wait_for_ready(launcher_rx.as_ref(), config.server_timeout)?;
-            server_liveness.record(0u32);
-            // Only the restored checkpoint's bookkeeping counts now: any
-            // group the launcher believed finished but the server lost
-            // since its last checkpoint must be restarted too (paper
-            // Section 4.2.3: "the groups considered as finished by the
-            // launcher but not the server").
-            known_finished = server.shared().finished_groups().into_iter().collect();
-            known_running.clear();
-            // Resubmit everything not finished; discard-on-replay absorbs
-            // any duplicated timesteps.  Iterates current ownership (not
-            // the launch-time list) in sorted order so restarts after a
-            // fence stay deterministic.
-            let mut mine: Vec<u64> = my_groups.iter().copied().collect();
-            mine.sort_unstable();
-            for g in mine {
-                if known_finished.contains(&g) || abandoned.contains(&g) {
-                    continue;
-                }
-                let instance = retries.get(&g).copied().unwrap_or(0) + 1;
-                retries.insert(g, instance);
-                log_ev(
-                    &mut report,
-                    tele,
-                    EventKind::GroupResubmitted { group: g, instance },
-                );
-                report.group_restarts += 1;
-                let handle = submit(g, instance, server.kill.clone());
-                active.insert(
-                    g,
-                    ActiveJob {
-                        handle,
-                        instance,
-                        started_at: Instant::now(),
-                    },
-                );
-            }
-            continue;
-        }
-
-        // 4. Reconcile job states (completed / died / zombie).
-        let mut to_fail: Vec<u64> = Vec::new();
-        let mut to_remove: Vec<u64> = Vec::new();
-        for (&g, job) in active.iter_mut() {
-            // A job still waiting its turn on a busy shared pool is not
-            // silent — keep its zombie clock at zero until the
-            // dispatcher actually grants it capacity.
-            if !job.handle.has_started() && !job.handle.is_finished() {
-                job.started_at = Instant::now();
-            }
-            if job.handle.is_finished() {
-                let outcome = outcomes.lock().get(&(g, job.instance)).cloned();
-                match outcome {
-                    Some(GroupOutcome::Completed { .. }) => {
-                        if let Some(h) = &turnaround_hist {
-                            h.record(job.started_at.elapsed().as_nanos() as u64);
-                        }
-                        to_remove.push(g);
-                    }
-                    Some(GroupOutcome::Died { .. }) | Some(GroupOutcome::Aborted { .. }) => {
-                        log_ev(
-                            &mut report,
-                            tele,
-                            EventKind::GroupDied {
-                                group: g,
-                                instance: job.instance,
-                                detail: format!("{outcome:?}"),
-                            },
-                        );
-                        to_fail.push(g);
-                    }
-                    None => to_remove.push(g), // killed before recording
-                }
-            } else {
-                // Zombie detection: the job has been "running" longer than
-                // the timeout but the server has never heard from it.
-                // Scaled by the observed scheduling delay: a slow host
-                // or a queue-starved tenant stretches the bound, a
-                // healthy host keeps 2× the nominal timeout.
-                let silent = !known_running.contains(&g) && !known_finished.contains(&g);
-                if silent && job.started_at.elapsed() > load.scale(config.group_timeout * 2) {
-                    log_ev(
-                        &mut report,
-                        tele,
-                        EventKind::GroupZombie {
-                            group: g,
-                            instance: job.instance,
-                        },
-                    );
-                    to_fail.push(g);
-                }
-            }
-        }
-        for g in to_remove {
-            active.remove(&g);
-        }
-        for g in to_fail {
-            if known_finished.contains(&g) {
-                active.remove(&g);
-                continue;
-            }
-            handle_group_failure(
-                g,
-                &mut active,
-                &mut retries,
-                &mut abandoned,
-                &mut report,
-                tele,
-                config.max_group_retries,
-                &submit,
-                &server.kill,
-            );
-        }
-
-        // 5. Convergence loopback: stop early once every configured
-        // *aggregate* signal (max over shards: CI width and/or quantile
-        // step) converged — with both targets set, the study stops on
-        // whichever estimate is slowest.  Whichever supervisor observes
-        // the crossing flips the shared flag; all shards then cancel
-        // their remaining groups.
-        if config.target_ci_width.is_some() || config.target_quantile_step.is_some() {
-            let global_ci = ctx.coord.max_ci();
-            let global_qstep = ctx.coord.max_qstep();
-            let ci_ok = config
-                .target_ci_width
-                .is_none_or(|t| global_ci.is_finite() && global_ci < t);
-            let qstep_ok = config
-                .target_quantile_step
-                .is_none_or(|t| global_qstep.is_finite() && global_qstep < t);
-            if ci_ok && qstep_ok && ctx.coord.total_finished() > 0 {
-                ctx.coord.early_stop.store(true, Ordering::Relaxed);
-            }
-            if ctx.coord.early_stop.load(Ordering::Relaxed) && !early_stopped {
-                early_stopped = true;
-                log_ev(
-                    &mut report,
-                    tele,
-                    EventKind::EarlyStop {
-                        max_ci: global_ci,
-                        max_qstep: global_qstep,
-                        cancelled: active.len() as u64,
-                    },
-                );
-                for (_, job) in active.iter() {
-                    job.handle.kill.kill();
-                }
-                for (_, job) in active.drain() {
-                    job.handle.join();
-                }
-            }
-        }
-
-        // 6. Completion: every owned group settled *and* the chaos script
-        // fully played out (unfired fences would leave their targets
-        // waiting on the handoff quota forever).
-        let script_done = mig_idx >= migrations.len()
-            && kill_idx >= kills.len()
-            && handoffs_received >= expected_handoffs;
-        let settled = known_finished
+    /// Delivers an empty handoff to the target of every unfired script
+    /// entry: each still counts toward its target's handoff quota.
+    fn deliver_empty_handoffs(&self, epoch: u64) {
+        let migration_targets = self.migrations[self.mig_idx..].iter().map(|m| m.to);
+        let rehome_targets = self.kills[self.kill_idx..]
             .iter()
-            .filter(|g| my_groups.contains(g))
-            .count()
-            + abandoned.len()
-            >= my_groups.len();
-        let done = early_stopped || (script_done && settled);
-        if done && active.is_empty() {
-            break;
+            .filter(|k| k.permanent)
+            .filter_map(|k| k.rehome_to);
+        for to in migration_targets.chain(rehome_targets) {
+            self.hand_off(to, epoch, Vec::new());
         }
     }
 
-    // An early-stopped supervisor still owes its script's targets their
-    // handoff envelopes — deliver them empty so no peer blocks on the
-    // quota.
-    for m in migrations.iter().skip(mig_idx) {
-        ctx.coord.push_handoff(
-            m.to,
-            Handoff {
-                from: shard,
-                epoch: ctx.coord.routing.epoch(),
-                groups: Vec::new(),
-            },
-        );
+    /// Installs group `g`'s discard floors and waits until every worker
+    /// acknowledged them (the replayed instance must not start before).
+    fn adopt_floors(&self, g: u64, floors: &[i64]) -> Result<(), String> {
+        let server = self.server();
+        server.adopt_floors(g, floors);
+        poll_until(self.ctx.config.migration_timeout, || {
+            server.take_adopt_acks(g).then_some(())
+        })
+        .ok_or_else(|| {
+            format!(
+                "shard {}: floor adoption for group {g} timed out",
+                self.shard
+            )
+        })
     }
-    for k in kills.iter().skip(kill_idx) {
-        if let (true, Some(t)) = (k.permanent, k.rehome_to) {
-            ctx.coord.push_handoff(
-                t,
-                Handoff {
-                    from: shard,
-                    epoch: ctx.coord.routing.epoch(),
-                    groups: Vec::new(),
-                },
-            );
+
+    /// Fences group `g` out of the server and waits for the flush barrier:
+    /// every worker's final integration floor.
+    fn migrate_out(&self, g: u64) -> Result<Vec<i64>, String> {
+        let server = self.server();
+        server.migrate_out(g);
+        poll_until(self.ctx.config.migration_timeout, || {
+            server.take_migrate_floors(g)
+        })
+        .ok_or_else(|| {
+            format!(
+                "shard {}: migration flush barrier for group {g} timed out",
+                self.shard
+            )
+        })
+    }
+
+    /// Publishes this slot's convergence signals — neutral while it owns
+    /// no groups (a joiner before its handoff, a drained source), whose
+    /// idle server's infinite CI would otherwise pin the aggregate.
+    fn publish_signals(&self) {
+        let (ci, qstep) = if self.owned.is_empty() {
+            (0.0, 0.0)
+        } else {
+            (self.last_ci, self.last_qstep)
+        };
+        let finished = self.known_finished.len();
+        self.ctx.coord.publish(self.shard, ci, qstep, finished);
+    }
+
+    fn server(&self) -> &Server {
+        self.server
+            .as_ref()
+            .expect("the server runs until teardown")
+    }
+
+    /// Journals an event and mirrors it into the live telemetry ring.
+    fn log(&mut self, kind: impl Into<EventKind>) {
+        let event = self.report.log(kind);
+        if let Some(t) = self.tele {
+            t.record_event(event);
         }
     }
-
-    // Final server stop: collect statistics states.
-    let link = server.data_link_stats();
-    let shared = Arc::clone(server.shared());
-    let states = server.stop();
-
-    report.groups_finished = known_finished.len();
-    // Final publish — but never for an empty shard, whose `last_ci` was
-    // never updated from ∞: overwriting its neutral signal would pin the
-    // aggregate at infinity and permanently disable early stop.  (Judged
-    // on *current* ownership: a shard drained by scale-in published its
-    // neutral signal at the fence, a joiner that adopted groups has real
-    // signals to publish.)
-    if !my_groups.is_empty() {
-        ctx.coord
-            .publish(shard, last_ci, last_quantile_step, known_finished.len());
-    }
-    report.groups_abandoned = {
-        let mut v: Vec<u64> = abandoned.into_iter().collect();
-        v.sort_unstable();
-        v
-    };
-    report.data_messages = carried[0]
-        + shared
-            .messages_received
-            .load(std::sync::atomic::Ordering::Relaxed);
-    report.data_bytes = carried[1]
-        + shared
-            .bytes_received
-            .load(std::sync::atomic::Ordering::Relaxed);
-    report.replays_discarded = carried[2]
-        + shared
-            .replays_discarded
-            .load(std::sync::atomic::Ordering::Relaxed);
-    report.checkpoints_written = carried[3]
-        + shared
-            .checkpoints_written
-            .load(std::sync::atomic::Ordering::Relaxed);
-    report.transport = transport.backend_name().to_string();
-    report.blocked_sends = link.blocked_sends;
-    report.blocked_time = link.blocked_time();
-    report.link_messages = link.messages;
-    report.link_bytes = link.bytes;
-    report.link_wire_bytes = link.wire_bytes;
-    report.early_stopped = early_stopped;
-    report.final_max_ci = last_ci;
-    report.final_max_quantile_step = last_quantile_step;
-    report.quantile_probs = config.quantile_probs.clone();
-    report.final_quantile_steps = last_quantile_steps;
-    report.transport_reconnects = transport.reconnects();
-    report.routing_epoch = ctx.coord.routing.epoch();
-
-    Ok(ShardRun { states, report })
 }
 
-/// The permanent-death exit of a shard supervisor: the server is gone for
-/// good, so its last checkpoint *is* its statistics lineage.  Every group
-/// not finished by every worker of that lineage is fenced to `to` with
-/// per-worker floors (checkpointed floor, raised to any floor this shard
-/// itself adopted earlier), and the checkpointed states are returned as
-/// this slot's contribution to the study-end reduction.
-#[allow(clippy::too_many_arguments)]
-fn rehome_dead_shard(
-    ctx: &StudyContext,
-    shard: usize,
-    to: usize,
-    server: Server,
-    server_config: &ServerConfig,
-    mut active: HashMap<u64, ActiveJob>,
-    mut report: StudyReport,
-    my_groups: HashSet<u64>,
-    abandoned: HashSet<u64>,
-    retries: HashMap<u64, u32>,
-    adopted_floors: HashMap<u64, Vec<i64>>,
-    pending_migrations: &[crate::fault::Migration],
-    pending_kills: &[crate::fault::ShardKill],
-    carried: [u64; 4],
-    signals: (f64, f64, Vec<f64>),
-    early_stopped: bool,
-) -> Result<ShardRun, String> {
-    let config = &ctx.config;
-    let tele = ctx.telemetry(shard);
-    for (_, job) in active.iter() {
-        job.handle.kill.kill();
-    }
-    for (_, job) in active.drain() {
-        job.handle.join();
-    }
-    let link = server.data_link_stats();
-    let shared = Arc::clone(server.shared());
-    server.abandon();
-
-    // The lineage is whatever the last checkpoint holds; an unreadable
-    // worker hands off cold (floor −1 ⇒ full replay at the target).
-    let n_workers = config.server_workers;
-    let partition = SlabPartition::new(ctx.n_cells, n_workers);
-    let mut lineage: Vec<WorkerState> = Vec::with_capacity(n_workers);
-    for w in 0..n_workers {
-        match read_checkpoint(&server_config.checkpoint_dir, w) {
-            Ok(mut st) => {
-                st.ensure_quantiles(&config.quantile_probs);
-                lineage.push(st);
-            }
-            Err(e) => {
-                log_ev(
-                    &mut report,
-                    tele,
-                    EventKind::CheckpointUnreadable {
-                        worker: w as u32,
-                        detail: e.to_string(),
-                    },
-                );
-                lineage.push(WorkerState::with_stats(
-                    w,
-                    partition.worker_range(w),
-                    ctx.p,
-                    config.solver.n_timesteps,
-                    &config.thresholds,
-                    &config.quantile_probs,
-                ));
-            }
-        }
-    }
-
-    // Only groups finished by *every* worker of the lineage stay; the
-    // rest re-home (a partially finished group replays its tail on the
-    // target, discard floors preventing any double integration).
-    let finished_everywhere: HashSet<u64> = lineage[0]
-        .finished_groups()
-        .iter()
-        .copied()
-        .filter(|g| lineage.iter().all(|s| s.finished_groups().contains(g)))
-        .collect();
-    let mut moved: Vec<u64> = my_groups
-        .iter()
-        .copied()
-        .filter(|g| !abandoned.contains(g) && !finished_everywhere.contains(g))
-        .collect();
-    moved.sort_unstable();
-    let mut handoff_groups: Vec<MigratedGroup> = Vec::with_capacity(moved.len());
-    for &g in &moved {
-        let floors: Vec<i64> = (0..n_workers)
-            .map(|w| {
-                let remembered = adopted_floors.get(&g).map(|f| f[w]).unwrap_or(-1);
-                lineage[w].completed_floor(g).max(remembered)
-            })
-            .collect();
-        handoff_groups.push(MigratedGroup {
-            id: g,
-            floors,
-            next_instance: retries.get(&g).copied().unwrap_or(0) + 1,
-        });
-    }
-    let fence: Vec<(u64, usize)> = moved.iter().map(|&g| (g, to)).collect();
-    let epoch = ctx.coord.routing.fence(&fence);
+/// Records the time since `since` into histogram `name` (a no-op when
+/// telemetry is off).
+fn record_since(tele: Option<&Arc<Telemetry>>, name: &str, since: Instant) {
     if let Some(t) = tele {
-        t.set_routing_epoch(epoch);
-    }
-    report.groups_migrated += handoff_groups.len() as u64;
-    report.shards_rehomed = 1;
-    log_ev(
-        &mut report,
-        tele,
-        EventKind::ShardRehomed {
-            epoch,
-            n_groups: handoff_groups.len() as u64,
-            from: shard as u32,
-            to: to as u32,
-        },
-    );
-    ctx.coord.push_handoff(
-        to,
-        Handoff {
-            from: shard,
-            epoch,
-            groups: handoff_groups,
-        },
-    );
-    // The rest of this shard's script will never fire; its targets still
-    // count the handoffs, so deliver empty envelopes.
-    for m in pending_migrations {
-        ctx.coord.push_handoff(
-            m.to,
-            Handoff {
-                from: shard,
-                epoch,
-                groups: Vec::new(),
-            },
-        );
-    }
-    for k in pending_kills {
-        if let (true, Some(t)) = (k.permanent, k.rehome_to) {
-            ctx.coord.push_handoff(
-                t,
-                Handoff {
-                    from: shard,
-                    epoch,
-                    groups: Vec::new(),
-                },
-            );
-        }
-    }
-
-    report.groups_finished = my_groups
-        .iter()
-        .filter(|g| finished_everywhere.contains(g))
-        .count();
-    // Neutralise the convergence signal: a dead slot must not pin the
-    // aggregate at its last (stale) value or at ∞.
-    ctx.coord.publish(shard, 0.0, 0.0, report.groups_finished);
-    report.groups_abandoned = {
-        let mut v: Vec<u64> = abandoned.into_iter().collect();
-        v.sort_unstable();
-        v
-    };
-    report.data_messages = carried[0] + shared.messages_received.load(Ordering::Relaxed);
-    report.data_bytes = carried[1] + shared.bytes_received.load(Ordering::Relaxed);
-    report.replays_discarded = carried[2] + shared.replays_discarded.load(Ordering::Relaxed);
-    report.checkpoints_written = carried[3] + shared.checkpoints_written.load(Ordering::Relaxed);
-    report.transport = ctx.transport.backend_name().to_string();
-    report.blocked_sends = link.blocked_sends;
-    report.blocked_time = link.blocked_time();
-    report.link_messages = link.messages;
-    report.link_bytes = link.bytes;
-    report.link_wire_bytes = link.wire_bytes;
-    report.early_stopped = early_stopped;
-    report.final_max_ci = signals.0;
-    report.final_max_quantile_step = signals.1;
-    report.quantile_probs = config.quantile_probs.clone();
-    report.final_quantile_steps = signals.2;
-    report.transport_reconnects = ctx.transport.reconnects();
-    report.routing_epoch = epoch;
-    Ok(ShardRun {
-        states: lineage,
-        report,
-    })
-}
-
-/// Polls the migration flush barrier: every worker has drained the Data
-/// frames queued ahead of the group's `MigrateOut` and reported its final
-/// integration floor.
-fn await_migrate_floors(
-    server: &Server,
-    group: u64,
-    timeout: Duration,
-) -> Result<Vec<i64>, String> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        if let Some(floors) = server.take_migrate_floors(group) {
-            return Ok(floors);
-        }
-        if Instant::now() > deadline {
-            return Err(format!(
-                "migration flush barrier for group {group} timed out"
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(2));
+        t.registry()
+            .histogram(name)
+            .record(since.elapsed().as_nanos() as u64);
     }
 }
 
-/// Polls until every worker has acknowledged the group's adopted floors
-/// (the replayed instance must not start before the floors are in place).
-fn await_adopt_acks(server: &Server, group: u64, timeout: Duration) -> Result<(), String> {
+/// A server's counters that a crash-restore would lose: data messages,
+/// data bytes, replays discarded and checkpoints written.
+fn server_counters(s: &ServerShared) -> [u64; 4] {
+    [
+        s.messages_received.load(Ordering::Relaxed),
+        s.bytes_received.load(Ordering::Relaxed),
+        s.replays_discarded.load(Ordering::Relaxed),
+        s.checkpoints_written.load(Ordering::Relaxed),
+    ]
+}
+
+/// Polls `probe` every 2 ms until it yields a value or `timeout` passes.
+fn poll_until<T>(timeout: Duration, mut probe: impl FnMut() -> Option<T>) -> Option<T> {
     let deadline = Instant::now() + timeout;
     loop {
-        if server.take_adopt_acks(group) {
-            return Ok(());
+        if let Some(value) = probe() {
+            return Some(value);
         }
         if Instant::now() > deadline {
-            return Err(format!("floor adoption for group {group} timed out"));
+            return None;
         }
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -1384,69 +1366,6 @@ fn wait_for_ready(rx: &dyn Receiver, timeout: Duration) -> Result<(), String> {
             Err(RecvTimeoutError::Disconnected) => return Err("launcher inbox closed".into()),
         }
     }
-}
-
-/// Journals an event through the report and mirrors the stamped copy into
-/// the shard's live telemetry ring (a no-op when telemetry is off).
-fn log_ev(report: &mut StudyReport, tele: Option<&Arc<Telemetry>>, kind: impl Into<EventKind>) {
-    let event = report.log(kind);
-    if let Some(t) = tele {
-        t.record_event(event);
-    }
-}
-
-/// Kills (if needed) and resubmits a failed group, honouring the retry cap.
-#[allow(clippy::too_many_arguments)]
-fn handle_group_failure<F>(
-    g: u64,
-    active: &mut HashMap<u64, ActiveJob>,
-    retries: &mut HashMap<u64, u32>,
-    abandoned: &mut HashSet<u64>,
-    report: &mut StudyReport,
-    tele: Option<&Arc<Telemetry>>,
-    max_retries: u32,
-    submit: &F,
-    server_kill: &KillSwitch,
-) where
-    F: Fn(u64, u32, KillSwitch) -> melissa_scheduler::JobHandle,
-{
-    if abandoned.contains(&g) {
-        return;
-    }
-    if let Some(job) = active.remove(&g) {
-        job.handle.kill.kill();
-        job.handle.join();
-    }
-    let n = retries.entry(g).or_insert(0);
-    *n += 1;
-    if *n > max_retries {
-        abandoned.insert(g);
-        log_ev(
-            report,
-            tele,
-            EventKind::GroupAbandoned {
-                group: g,
-                retries: max_retries,
-            },
-        );
-        return;
-    }
-    let instance = *n;
-    report.group_restarts += 1;
-    log_ev(
-        report,
-        tele,
-        EventKind::GroupRestarted { group: g, instance },
-    );
-    let handle = submit(g, instance, server_kill.clone());
-    active.insert(
-        g,
-        ActiveJob {
-            handle,
-            instance,
-            started_at: Instant::now(),
-        },
-    );
 }
 
 #[cfg(test)]

@@ -55,7 +55,7 @@ use std::collections::HashMap;
 
 use crate::config::StudyConfig;
 use crate::fault::FaultPlan;
-use crate::launcher::{supervise_shard, StudyContext, StudyRuntime};
+use crate::launcher::{ShardSupervisor, StudyContext, StudyRuntime};
 use crate::report::StudyReport;
 use crate::server::checkpoint::{pack_state, unpack_state};
 use crate::server::state::WorkerState;
@@ -376,7 +376,7 @@ pub fn reduce_worker_states(shards: &[Vec<WorkerState>]) -> Vec<WorkerState> {
 /// Runs a sharded study: `N` supervised server instances over disjoint
 /// group subsets, reduced into one result set at the end.
 ///
-/// Called by [`crate::launcher::run_study`] whenever
+/// Called by [`crate::launcher::run_study_in`] whenever
 /// `config.n_shards > 1`; use [`crate::study::Study::run`] rather than
 /// calling this directly.
 pub(crate) fn run_sharded_study(
@@ -413,7 +413,7 @@ pub(crate) fn run_sharded_study(
                     // Shard scopes nest under the study's outer scope
                     // (empty outer keeps the legacy `shard<k>` names).
                     let scope_name = names::scoped(&ctx.outer, &names::shard_scope(k));
-                    supervise_shard(ctx, k, &scope_name, &groups)
+                    ShardSupervisor::run(ctx, k, &scope_name, &groups)
                 })
             })
             .collect();

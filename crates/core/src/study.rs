@@ -47,7 +47,7 @@ impl Study {
 
     /// Runs the study to completion under the launcher's supervision.
     pub fn run(self) -> Result<StudyOutput, String> {
-        crate::launcher::run_study(self.config, self.faults)
+        self.run_in(crate::launcher::StudyRuntime::default())
     }
 
     /// Runs the study on a caller-supplied transport instead of building
@@ -63,7 +63,10 @@ impl Study {
         self,
         transport: std::sync::Arc<dyn melissa_transport::Transport>,
     ) -> Result<StudyOutput, String> {
-        crate::launcher::run_study_on(self.config, self.faults, Some(transport))
+        self.run_in(crate::launcher::StudyRuntime {
+            transport: Some(transport),
+            ..Default::default()
+        })
     }
 
     /// Runs the study inside a caller-built

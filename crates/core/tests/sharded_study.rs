@@ -10,12 +10,16 @@
 //! bookkeeping) are bit-identical, while Sobol'/moments agree up to
 //! pairwise-merge rounding.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use melissa::server::state::WorkerState;
 use melissa::shard::{reduce_worker_states, GroupRouter};
-use melissa::{FaultPlan, Migration, MigrationMoves, ShardKill, Study, StudyConfig, StudyOutput};
+use melissa::{
+    FaultPlan, Migration, MigrationMoves, ShardKill, Study, StudyConfig, StudyOutput, StudyRuntime,
+};
 use melissa_mesh::CellRange;
+use melissa_scheduler::FairRunner;
 use proptest::prelude::*;
 
 fn shard_config(n_shards: usize, tag: &str) -> StudyConfig {
@@ -475,4 +479,60 @@ fn early_stop_delivers_the_unfired_script_handoffs() {
 #[test]
 fn early_stop_delivers_the_unfired_script_handoffs_to_a_joiner() {
     early_stop_with_unfired_script(2, "early-stop-joiner");
+}
+
+/// Whether the wall-limit error names an active job that is still queued
+/// (its `g<id>#<instance> queued` entry).
+fn names_a_queued_group(err: &str) -> bool {
+    err.match_indices(" queued ").any(|(at, _)| {
+        let token = err[..at].rsplit(' ').next().unwrap_or("");
+        token
+            .strip_prefix('g')
+            .and_then(|t| t.split_once('#'))
+            .is_some_and(|(g, i)| g.parse::<u64>().is_ok() && i.parse::<u32>().is_ok())
+    })
+}
+
+/// A study that hits its wall limit stops every job it submitted and its
+/// servers before it returns, whatever its shard count: the shared pool it
+/// ran on is left idle and its stream closes cleanly, which is what lets
+/// a daemon host the failed study without leaking its jobs to the other
+/// tenants.
+#[test]
+fn wall_limit_exit_stops_every_job_on_the_shared_pool() {
+    for n_shards in [1, 2] {
+        let mut config = StudyConfig::tiny();
+        config.n_groups = 64;
+        config.n_shards = n_shards;
+        config.wall_limit = Duration::from_millis(300);
+        config.checkpoint_dir = std::env::temp_dir().join(format!(
+            "melissa-it-shard-wall-{n_shards}-{}",
+            std::process::id()
+        ));
+        let dir = config.checkpoint_dir.clone();
+        let fair = FairRunner::new(1);
+        let stream = fair.open_stream("tenant", 0, 1);
+        let runtime = StudyRuntime {
+            runner: Some(Arc::new(stream.clone())),
+            ..StudyRuntime::default()
+        };
+        let err = match Study::new(config).run_in(runtime) {
+            Ok(_) => panic!("{n_shards} shard(s): 64 groups cannot finish in 300 ms"),
+            Err(e) => e,
+        };
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(err.contains("study exceeded wall limit"), "{err}");
+        assert!(
+            names_a_queued_group(&err),
+            "the error should list the queued jobs: {err}"
+        );
+        for usage in fair.tenant_usage() {
+            assert_eq!(
+                (usage.queued, usage.running_jobs),
+                (0, 0),
+                "{n_shards} shard(s): jobs left on the pool after the study returned"
+            );
+        }
+        fair.close_stream(stream.id());
+    }
 }

@@ -264,6 +264,35 @@ fn cancel_stops_a_running_study() {
     daemon.stop();
 }
 
+/// A hosted study that runs out of wall clock ends `Failed` with the
+/// wall-limit error, after stopping its jobs: the daemon closes the
+/// study's stream right after the run returns, which fails loud on any
+/// job the study left queued or running.
+#[test]
+fn wall_limit_fails_the_study_and_releases_its_stream() {
+    let transport = make_transport(TransportKind::InProcess);
+    let daemon = Daemon::start(Arc::clone(&transport), DaemonConfig::default());
+    let client = DaemonClient::new(Arc::clone(&transport), Duration::from_secs(10));
+
+    let mut config = seeded_config(17, "wall-limit");
+    config.n_groups = 64;
+    config.wall_limit = Duration::from_millis(300);
+    let id = client.submit("acme", 0, config).expect("admitted");
+
+    let status = client.wait(id, Duration::from_secs(60)).expect("terminal");
+    assert_eq!(status.state, StudyState::Failed);
+    match client.results(id) {
+        Err(ClientError::BadHandshake { detail }) => assert!(
+            detail.contains("study exceeded wall limit"),
+            "detail: {detail}"
+        ),
+        Err(other) => panic!("expected the wall-limit error, got {other:?}"),
+        Ok(_) => panic!("a failed study must not return results"),
+    }
+
+    daemon.stop();
+}
+
 /// The daemon-level telemetry endpoint aggregates queue depths,
 /// per-tenant usage and admission decisions over the scrape protocol.
 #[test]
