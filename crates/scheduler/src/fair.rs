@@ -1,9 +1,10 @@
 //! Weighted fair job scheduling across tenants sharing one node pool.
 //!
-//! [`JobRunner`](crate::runtime::JobRunner) is a single-queue ticket-FIFO
-//! pool: perfect when one study owns the nodes, unusable when many
-//! tenants share them (one tenant's burst heads-of-line-blocks everyone
-//! else).  [`FairRunner`] generalizes it into a **weighted multi-queue**:
+//! A single FIFO queue is perfect when one study owns the nodes and
+//! unusable when many tenants share them (one tenant's burst
+//! heads-of-line-blocks everyone else).  [`FairRunner`] is a **weighted
+//! multi-queue**, and a standalone study's
+//! [`JobRunner`](crate::runtime::JobRunner) is just its one-tenant case:
 //!
 //! * one queue per tenant, served by **deficit round robin** — each visit
 //!   credits the tenant `quantum × weight` cost units and dispatches
@@ -22,8 +23,8 @@
 //!
 //! All scheduling decisions are taken under one lock in a deterministic
 //! ring order; dispatch order is a pure function of the submission and
-//! completion sequence, never of thread wake-up races — the same property
-//! that makes the ticket-FIFO runner reproducible.
+//! completion sequence, never of thread wake-up races — the property that
+//! makes a sequential study reproducible.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
